@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from .curves import (
@@ -35,6 +36,7 @@ from .curves import (
 )
 from .ffpoly import FpPolynomial, PrimeField
 from .fibration import (
+    RAM_KEYS,
     FibrationSpec,
     KodairaType,
     RamificationData,
@@ -47,10 +49,10 @@ from .fibration import (
     line_bundle_degrees,
     singular_fibers,
     surface_invariants,
-    validate_spec,
 )
 from .ordinarity import (
     CLAUSE_RATIONAL,
+    CURVE_NAMES,
     MissingReportDataError,
     build_report,
     check_supersingular_corollary,
@@ -73,7 +75,6 @@ _ROTATIONS = {
     "C6": Rotation.C6,
 }
 _ROTATION_NAMES = {v: k for k, v in _ROTATIONS.items()}
-_RAM_KEYS = ("a2", "a3p", "a3m", "a4p", "a4m", "a6p", "a6m")
 
 
 class SpecDocumentError(Exception):
@@ -138,10 +139,10 @@ def parse_spec_document(doc) -> FibrationSpec:
         counts = {}
         ram_ok = True
         for key in ram_raw:
-            if key not in _RAM_KEYS:
-                errors.append(f"ram.{key}: unknown branch count (expected {_RAM_KEYS})")
+            if key not in RAM_KEYS:
+                errors.append(f"ram.{key}: unknown branch count (expected {RAM_KEYS})")
                 ram_ok = False
-        for key in _RAM_KEYS:
+        for key in RAM_KEYS:
             if key in ram_raw:
                 value = _want_int(ram_raw, key, errors, minimum=0, path="ram.")
                 if value is None:
@@ -202,7 +203,7 @@ def spec_to_document(spec: FibrationSpec) -> dict:
         "R": _ROTATION_NAMES[spec.rotation],
         "T": [spec.translation.n1, spec.translation.n2],
         "genus_base": spec.genus_base,
-        "ram": {k: getattr(spec.ram, k) for k in _RAM_KEYS if getattr(spec.ram, k)},
+        "ram": {k: getattr(spec.ram, k) for k in RAM_KEYS if getattr(spec.ram, k)},
     }
     if spec.e_model is not None:
         doc["E"] = {"a": spec.e_model.a, "b": spec.e_model.b}
@@ -220,83 +221,62 @@ def load_spec(path: str) -> FibrationSpec:
     return parse_spec_document(doc)
 
 
-def _fiber_counts(spec: FibrationSpec) -> list[tuple[str, int, int]]:
-    """(kodaira label, count, euler) in deterministic order."""
-    out: dict[str, tuple[int, int]] = {}
-    order = []
-    for fc in singular_fibers(spec):
-        label = fc.kodaira_type.value
-        if label not in out:
-            out[label] = (0, fc.euler)
-            order.append(label)
-        count, euler = out[label]
-        out[label] = (count + 1, euler)
-    return [(label, out[label][0], out[label][1]) for label in order]
-
-
 def _print_validation_failure(violations: list[str]) -> None:
     print("invalid fibration data:", file=sys.stderr)
     for v in violations:
         print(f"  - {v}", file=sys.stderr)
 
 
+def _print_json(payload: dict) -> int:
+    print(json.dumps(payload, indent=2, sort_keys=True))
+    return EXIT_OK
+
+
 def cmd_invariants(args) -> int:
     spec = load_spec(args.spec_file)
-    violations = validate_spec(spec)
-    if violations:
-        _print_validation_failure(violations)
-        return EXIT_VALIDATION
     inv = surface_invariants(spec)
     tower = genus_cover_tower(spec)
-    fibers = _fiber_counts(spec)
+    payload = {
+        "spec": spec_to_document(spec),
+        "deg_L": list(inv.deg_l),
+        "chi": inv.chi,
+        "euler": inv.euler_total,
+        "h1": inv.h1,
+        "h2": inv.h2,
+        "d": inv.d,
+        "rational": inv.rational,
+        "k3_candidate": inv.k3_candidate,
+        "fibers": [
+            {"type": fc.kodaira_type.value, "count": count, "euler": fc.euler}
+            for fc, count in singular_fibers(spec)
+        ],
+        "tower": {"Dp": tower[0], "Dpp": tower[1], "Dppp": tower[2]},
+    }
     if args.format == "json":
-        payload = {
-            "spec": spec_to_document(spec),
-            "deg_L": list(inv.deg_l),
-            "chi": inv.chi,
-            "euler": inv.euler_total,
-            "h1": inv.h1,
-            "h2": inv.h2,
-            "d": inv.d,
-            "rational": inv.rational,
-            "k3_candidate": inv.k3_candidate,
-            "fibers": [
-                {"type": label, "count": count, "euler": euler}
-                for label, count, euler in fibers
-            ],
-            "tower": {"Dp": tower[0], "Dpp": tower[1], "Dppp": tower[2]},
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return EXIT_OK
+        return _print_json(payload)
+    doc = payload["spec"]
+    flags = (("rational", payload["rational"]), ("K3-candidate", payload["k3_candidate"]))
     rows = [
-        ("p", str(spec.field.p)),
-        ("rotation", _ROTATION_NAMES[spec.rotation]),
-        ("translation", f"Z/{spec.translation.n1} + Z/{spec.translation.n2}"),
-        ("base genus", str(spec.genus_base)),
-        ("deg L_i", ", ".join(str(v) for v in inv.deg_l) or "(none)"),
-        ("chi(O_X)", str(inv.chi)),
-        ("Euler number", str(inv.euler_total)),
-        ("h1(O_X)", str(inv.h1)),
-        ("h2(O_X)", str(inv.h2)),
-        ("d", str(inv.d)),
-        (
-            "flags",
-            ", ".join(
-                name
-                for name, on in (("rational", inv.rational), ("K3-candidate", inv.k3_candidate))
-                if on
-            )
-            or "(none)",
-        ),
+        ("p", str(doc["p"])),
+        ("rotation", doc["R"]),
+        ("translation", "Z/{} + Z/{}".format(*doc["T"])),
+        ("base genus", str(doc["genus_base"])),
+        ("deg L_i", ", ".join(str(v) for v in payload["deg_L"]) or "(none)"),
+        ("chi(O_X)", str(payload["chi"])),
+        ("Euler number", str(payload["euler"])),
+        ("h1(O_X)", str(payload["h1"])),
+        ("h2(O_X)", str(payload["h2"])),
+        ("d", str(payload["d"])),
+        ("flags", ", ".join(name for name, on in flags if on) or "(none)"),
         (
             "singular fibers",
-            ", ".join(f"{count} x {label}" for label, count, euler in fibers) or "(none)",
+            ", ".join(f"{f['count']} x {f['type']}" for f in payload["fibers"]) or "(none)",
         ),
         (
             "cover tower",
             ", ".join(
                 f"g({name}) = {g}"
-                for name, g in zip(("D'", "D''", "D'''"), tower)
+                for name, g in zip(("D'", "D''", "D'''"), payload["tower"].values())
                 if g is not None
             ),
         ),
@@ -323,10 +303,6 @@ def _parse_set_overrides(pairs: list[str]) -> dict:
 
 def cmd_decide(args) -> int:
     spec = load_spec(args.spec_file)
-    violations = validate_spec(spec)
-    if violations:
-        _print_validation_failure(violations)
-        return EXIT_VALIDATION
     overrides = _parse_set_overrides(args.set or [])
     report = build_report(spec, overrides)
     verdict = decide(spec, report)
@@ -337,60 +313,51 @@ def cmd_decide(args) -> int:
     if e_entry is not None and e_entry.ordinary:
         divisor = hasse_divisor(spec, report)
 
+    payload = {
+        "spec": spec_to_document(spec),
+        "ordinary": verdict.ordinary,
+        "scope": verdict.scope,
+        "clause": verdict.clause,
+        "reasons": list(verdict.reasons),
+        "report": {
+            name: None if report.get(name) is None else asdict(report.get(name))
+            for name in CURVE_NAMES
+        },
+        "consistency_violation": corollary,
+        "hasse_divisor": None
+        if divisor is None
+        else {
+            "total_degree": divisor.total_degree,
+            "entries": [
+                {"type": fc.kodaira_type.value, "multiplicity": mult}
+                for fc, mult in divisor.entries
+            ],
+        },
+    }
     if args.format == "json":
-        payload = {
-            "spec": spec_to_document(spec),
-            "ordinary": verdict.ordinary,
-            "scope": verdict.scope,
-            "clause": verdict.clause,
-            "reasons": list(verdict.reasons),
-            "report": {
-                name: None
-                if report.get(name) is None
-                else {
-                    "genus": report.get(name).genus,
-                    "p_rank": report.get(name).p_rank,
-                    "ordinary": report.get(name).ordinary,
-                    "provenance": report.get(name).provenance,
-                }
-                for name in ("E", "C", "Dp", "Dpp", "Dppp")
-            },
-            "consistency_violation": corollary,
-            "hasse_divisor": None
-            if divisor is None
-            else {
-                "total_degree": divisor.total_degree,
-                "entries": [
-                    {"type": fc.kodaira_type.value, "multiplicity": mult}
-                    for fc, mult in divisor.entries
-                ],
-            },
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return EXIT_OK
+        return _print_json(payload)
 
-    print(f"verdict  {'ordinary' if verdict.ordinary else 'NOT ordinary'}")
-    print(f"scope    {verdict.scope}")
-    print(f"clause   {verdict.clause}")
+    print(f"verdict  {'ordinary' if payload['ordinary'] else 'NOT ordinary'}")
+    print(f"scope    {payload['scope']}")
+    print(f"clause   {payload['clause']}")
     print("reasons:")
-    for reason in verdict.reasons:
+    for reason in payload["reasons"]:
         print(f"  - {reason}")
     print("report:")
-    for name in ("E", "C", "Dp", "Dpp", "Dppp"):
-        entry = report.get(name)
+    for name, entry in payload["report"].items():
         if entry is None:
             continue
-        rank = "?" if entry.p_rank is None else str(entry.p_rank)
+        rank = "?" if entry["p_rank"] is None else str(entry["p_rank"])
         print(
-            f"  {name}: genus {entry.genus}, p-rank {rank}, "
-            f"ordinary={entry.ordinary} [{entry.provenance}]"
+            f"  {name}: genus {entry['genus']}, p-rank {rank}, "
+            f"ordinary={entry['ordinary']} [{entry['provenance']}]"
         )
-    if corollary is not None:
-        print(f"consistency violation: {corollary}")
-    if divisor is not None:
-        print(f"Hasse divisor (total degree {divisor.total_degree}):")
-        for fc, mult in divisor.entries:
-            print(f"  {fc.kodaira_type.value} fiber: multiplicity {mult}")
+    if payload["consistency_violation"] is not None:
+        print(f"consistency violation: {payload['consistency_violation']}")
+    if payload["hasse_divisor"] is not None:
+        print(f"Hasse divisor (total degree {payload['hasse_divisor']['total_degree']}):")
+        for entry in payload["hasse_divisor"]["entries"]:
+            print(f"  {entry['type']} fiber: multiplicity {entry['multiplicity']}")
     return EXIT_OK
 
 
@@ -460,7 +427,7 @@ def _golden_four_branch_points() -> str:
     spec = _make_spec(Rotation.C2, 7, a2=4)
     inv = surface_invariants(spec)
     _check(inv.chi == 2 and inv.euler_total == 24 and inv.k3_candidate, "chi/euler/flag")
-    fibers = _fiber_counts(spec)
+    fibers = [(fc.kodaira_type.value, count, fc.euler) for fc, count in singular_fibers(spec)]
     _check(fibers == [("I0*", 4, 6)], "four I0* fibers")
     _check(genus_cover_tower(spec)[0] == 1, "double cover has genus 1")
     return "a2=4 over the line: chi=2, Euler=24, K3 candidate, four I0*"
@@ -634,7 +601,6 @@ def _scan_one_prime(curve: EllipticCurveQ, branch: list[int] | None, p: int) -> 
         return row
     row["good"] = True
     e_p = curve.reduce(field)
-    row["E_ord"] = hasse_invariant(e_p) != 0
     a2 = branch_p.degree() + (branch_p.degree() % 2)
     spec = FibrationSpec(
         rotation=Rotation.C2,
@@ -646,6 +612,7 @@ def _scan_one_prime(curve: EllipticCurveQ, branch: list[int] | None, p: int) -> 
         branch_poly=branch_p,
     )
     report = build_report(spec)
+    row["E_ord"] = report.e.ordinary
     row["Dp_ord"] = bool(report.dp.ordinary)
     row["verdict"] = decide(spec, report).ordinary
     return row
@@ -667,8 +634,7 @@ def cmd_scan(args) -> int:
             "ordinary_primes": len(ordinary),
             "ordinary_fraction": None if fraction is None else [fraction.numerator, fraction.denominator],
         }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return EXIT_OK
+        return _print_json(payload)
 
     def cell(value):
         if value is None:
@@ -740,7 +706,10 @@ def main(argv=None) -> int:
     except OracleBoundError as exc:
         print(f"oracle bound exceeded: {exc}", file=sys.stderr)
         return EXIT_ORACLE_BOUND
-    except (ValidationError, MissingReportDataError, ValueError) as exc:
+    except ValidationError as exc:
+        _print_validation_failure(exc.violations)
+        return EXIT_VALIDATION
+    except (MissingReportDataError, ValueError) as exc:
         print(f"invalid data: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

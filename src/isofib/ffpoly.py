@@ -19,17 +19,30 @@ from typing import Iterator
 _MACHINE_WORD_LIMIT = 2**63
 
 
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(n: int) -> bool:
-    """Trial division; adequate for the machine-word moduli used here."""
+    """Deterministic Miller-Rabin; the prime bases up to 37 are exact below 2^64."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    i = 3
-    while i * i <= n:
-        if n % i == 0:
+    for q in _MILLER_RABIN_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        i += 2
     return True
 
 
@@ -500,7 +513,3 @@ class ExtField:
             for b in range(p):
                 yield (a, b)
 
-
-def ext_field_ops(field: PrimeField) -> ExtField:
-    """Arithmetic context for GF(p^2) over the given prime field."""
-    return ExtField(field)

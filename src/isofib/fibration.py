@@ -67,6 +67,9 @@ class TranslationClass:
         return self.n1 * self.n2
 
 
+RAM_KEYS = ("a2", "a3p", "a3m", "a4p", "a4m", "a6p", "a6m")
+
+
 @dataclass(frozen=True)
 class RamificationData:
     """Branch-point counts of D'/C by ramification index and character sign."""
@@ -80,7 +83,7 @@ class RamificationData:
     a6m: int = 0
 
     def __post_init__(self):
-        for name in ("a2", "a3p", "a3m", "a4p", "a4m", "a6p", "a6m"):
+        for name in RAM_KEYS:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
 
@@ -112,7 +115,11 @@ _ALLOWED_COUNTS = {
 
 @dataclass(frozen=True)
 class FibrationSpec:
-    """Quotient data of an isotrivial elliptic fibration over GF(p)."""
+    """Quotient data of an isotrivial elliptic fibration over GF(p).
+
+    Construction runs ``validate_spec`` and raises ``ValidationError`` with
+    every violation, so a spec that exists is valid.
+    """
 
     rotation: Rotation
     translation: TranslationClass
@@ -125,6 +132,9 @@ class FibrationSpec:
     def __post_init__(self):
         if self.genus_base < 0:
             raise ValueError("base genus must be nonnegative")
+        violations = validate_spec(self)
+        if violations:
+            raise ValidationError(violations)
 
     @property
     def group_order(self) -> int:
@@ -222,18 +232,13 @@ def classify_fiber(stab: Stabilizer) -> FiberClass:
     return _FIBER_TABLE[(stab.order, sign)]
 
 
-def singular_fibers(spec: FibrationSpec) -> list[FiberClass]:
-    """One FiberClass per branch point, in a fixed deterministic order."""
-    r = spec.ram
-    fibers = []
-    fibers += [classify_fiber(Stabilizer.rotation(2))] * r.a2
-    fibers += [classify_fiber(Stabilizer.rotation(3, 1))] * r.a3p
-    fibers += [classify_fiber(Stabilizer.rotation(3, -1))] * r.a3m
-    fibers += [classify_fiber(Stabilizer.rotation(4, 1))] * r.a4p
-    fibers += [classify_fiber(Stabilizer.rotation(4, -1))] * r.a4m
-    fibers += [classify_fiber(Stabilizer.rotation(6, 1))] * r.a6p
-    fibers += [classify_fiber(Stabilizer.rotation(6, -1))] * r.a6m
-    return fibers
+def singular_fibers(spec: FibrationSpec) -> tuple[tuple[FiberClass, int], ...]:
+    """(FiberClass, count) for each branch-point kind that occurs, in RAM_KEYS order."""
+    return tuple(
+        (classify_fiber(Stabilizer.rotation(int(name[1]), -1 if name[-1] == "m" else 1)), count)
+        for name in RAM_KEYS
+        if (count := getattr(spec.ram, name))
+    )
 
 
 def _degree_fractions(rotation: Rotation, r: RamificationData) -> list[tuple[int, int, str]]:
@@ -325,7 +330,7 @@ def validate_spec(spec: FibrationSpec) -> list[str]:
         )
 
     allowed = _ALLOWED_COUNTS[spec.rotation]
-    for name in ("a2", "a3p", "a3m", "a4p", "a4m", "a6p", "a6m"):
+    for name in RAM_KEYS:
         if getattr(r, name) and name not in allowed:
             index = int(name[1])
             violations.append(
@@ -389,12 +394,6 @@ def validate_spec(spec: FibrationSpec) -> list[str]:
     return violations
 
 
-def ensure_valid(spec: FibrationSpec) -> None:
-    violations = validate_spec(spec)
-    if violations:
-        raise ValidationError(violations)
-
-
 def genus_cover_tower(spec: FibrationSpec) -> tuple[int, int | None, int | None]:
     """Genera (g_D', g_D'', g_D''') of the cover tower over C.
 
@@ -402,7 +401,6 @@ def genus_cover_tower(spec: FibrationSpec) -> tuple[int, int | None, int | None]
     double cover (rotation order 4), the last the intermediate triple cover
     (rotation order 6); absent entries are None.
     """
-    ensure_valid(spec)
     g_prime = (_raw_genus_d_prime_twice(spec) + 2) // 2
     r = spec.ram
     g2 = spec.genus_base
@@ -417,7 +415,6 @@ def genus_cover_tower(spec: FibrationSpec) -> tuple[int, int | None, int | None]
 
 def line_bundle_degrees(spec: FibrationSpec) -> tuple[int, ...]:
     """Degrees of the character line bundles L_1 ... L_(n-1); empty if R is trivial."""
-    ensure_valid(spec)
     return tuple(-(num // den) for num, den, _ in _degree_fractions(spec.rotation, spec.ram))
 
 
@@ -443,13 +440,12 @@ def surface_invariants(spec: FibrationSpec) -> SurfaceInvariants:
     agree, and twelve times chi must equal it (Noether, since K^2 = 0 on the
     relatively minimal model).
     """
-    ensure_valid(spec)
     deg_l = line_bundle_degrees(spec)
     trivial = spec.rotation is Rotation.TRIVIAL
     g2 = spec.genus_base
 
     euler_closed = _euler_closed_form(spec.rotation, spec.ram)
-    euler_fibers = sum(fc.euler for fc in singular_fibers(spec))
+    euler_fibers = sum(count * fc.euler for fc, count in singular_fibers(spec))
     if euler_closed != euler_fibers:
         raise AssertionError(
             f"Euler number mismatch: closed form {euler_closed}, fiber sum {euler_fibers}"

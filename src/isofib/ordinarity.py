@@ -34,7 +34,6 @@ from .fibration import (
     FiberClass,
     FibrationSpec,
     Rotation,
-    ensure_valid,
     genus_cover_tower,
     singular_fibers,
     surface_invariants,
@@ -55,6 +54,9 @@ COMPUTED = "computed-from-model"
 SUPPLIED = "supplied"
 
 CURVE_NAMES = ("E", "C", "Dp", "Dpp", "Dppp")
+
+# Deuring: the fiber forced by R (j = 0 or 1728) is ordinary only for p = 1 mod this
+_DEURING_MODULUS = {Rotation.C3: 3, Rotation.C4: 4, Rotation.C6: 3}
 
 
 class MissingReportDataError(Exception):
@@ -160,9 +162,9 @@ def build_report(spec: FibrationSpec, overrides: dict | None = None) -> CurveOrd
     explicit models when present (the fiber model via its Hasse invariant,
     the order-2 double cover via its Cartier matrix); genus-0 curves in the
     tower are trivially ordinary.  Caller-supplied overrides fill the gaps,
-    but a supplied value that contradicts a computed one is a hard error.
+    but a supplied value that contradicts a computed one is a hard error, and
+    so is an ordinary E that Deuring's congruence rules out for the rotation.
     """
-    ensure_valid(spec)
     overrides = dict(overrides or {})
     g_prime, g_double, g_triple = genus_cover_tower(spec)
     entries: dict[str, CurveReportEntry | None] = {n: None for n in CURVE_NAMES}
@@ -208,6 +210,14 @@ def build_report(spec: FibrationSpec, overrides: dict | None = None) -> CurveOrd
         p_rank, flag = _parse_override(value)
         supplied = CurveReportEntry(genus, p_rank, flag, SUPPLIED)
         computed = entries[name]
+        if name == "E" and computed is None and supplied.ordinary:
+            modulus = _DEURING_MODULUS.get(spec.rotation)
+            if modulus and spec.field.p % modulus != 1:
+                raise ValueError(
+                    f"supplied E=ordinary contradicts Deuring's congruence: rotation of "
+                    f"order {spec.rotation.order} forces j(E) = {1728 if modulus == 4 else 0}, "
+                    f"which is ordinary only for p = 1 mod {modulus}, not p = {spec.field.p}"
+                )
         if computed is not None:
             if supplied.p_rank is not None and supplied.p_rank != computed.p_rank:
                 raise ValueError(
@@ -252,7 +262,6 @@ def decide(spec: FibrationSpec, report: CurveOrdinarityReport) -> OrdinarityVerd
     intermediate double cover.  Requirements are evaluated lazily: a clause
     that already fails on its E or C conjunct does not demand tower p-ranks.
     """
-    ensure_valid(spec)
     inv = surface_invariants(spec)
     rot = spec.rotation
     reasons: list[str] = []
@@ -358,7 +367,6 @@ def hasse_divisor(spec: FibrationSpec, report: CurveOrdinarityReport) -> HasseDi
     integer precisely because the fiber ordinarity forces the congruence on p
     (1 mod 4 for rotation order 4, 1 mod 3 for orders 3 and 6).
     """
-    ensure_valid(spec)
     entry = report.get("E")
     if entry is None or entry.ordinary is None:
         raise MissingReportDataError(["E"])
@@ -370,19 +378,15 @@ def hasse_divisor(spec: FibrationSpec, report: CurveOrdinarityReport) -> HasseDi
     p = spec.field.p
     inv = surface_invariants(spec)
     entries = []
-    total = 0
-    for fc in singular_fibers(spec):
-        if fc.euler == 0:
-            continue  # multiple fibers never contribute
+    for fc, count in singular_fibers(spec):
         raw = (p - 1) * fc.euler
         if raw % 12 != 0:
             raise ValueError(
                 f"non-integral multiplicity {raw}/12 for a {fc.kodaira_type.value} fiber: "
                 f"no ordinary fiber model exists at p = {p} for this rotation class"
             )
-        mult = raw // 12
-        entries.append((fc, mult))
-        total += mult
+        entries += [(fc, raw // 12)] * count
+    total = sum(mult for _, mult in entries)
     if total != inv.d * (p - 1):
         raise AssertionError(
             f"Hasse divisor degree {total} != d(p-1) = {inv.d * (p - 1)}"

@@ -1,6 +1,10 @@
-"""Shared builders for randomized fibration specs and curve models."""
+"""Shared builders for randomized fibration specs and curve models, plus a call counter."""
 
+import functools
+import importlib
 import random
+import sys
+from collections import Counter
 
 from isofib.curves import EllipticCurveW
 from isofib.ffpoly import FpPolynomial, PrimeField
@@ -9,7 +13,7 @@ from isofib.fibration import (
     RamificationData,
     Rotation,
     TranslationClass,
-    validate_spec,
+    ValidationError,
 )
 
 SMALL_PRIMES = (5, 7, 11, 13, 17, 19, 23)
@@ -27,6 +31,15 @@ def make_spec(rotation, p=5, genus_base=0, translation=(1, 1), e_model=None, bra
         e_model=e_model,
         branch_poly=branch_poly,
     )
+
+
+def violations_of(rotation, **kwargs) -> list[str]:
+    """The violations make_spec(rotation, **kwargs) raises; empty when the spec is valid."""
+    try:
+        make_spec(rotation, **kwargs)
+    except ValidationError as exc:
+        return exc.violations
+    return []
 
 
 def random_valid_spec(rng: random.Random, rotation=None) -> FibrationSpec:
@@ -52,15 +65,16 @@ def random_valid_spec(rng: random.Random, rotation=None) -> FibrationSpec:
         n1 = rng.choice([1, 1, 2, 3])
         n2 = rng.choice([d for d in (1, n1) if n1 % d == 0])
         p = rng.choice(SMALL_PRIMES)
-        spec = make_spec(
-            rot,
-            p=p,
-            genus_base=rng.randrange(0, 3),
-            translation=(n1, n2),
-            **counts,
-        )
-        if not validate_spec(spec):
-            return spec
+        try:
+            return make_spec(
+                rot,
+                p=p,
+                genus_base=rng.randrange(0, 3),
+                translation=(n1, n2),
+                **counts,
+            )
+        except ValidationError:
+            continue
 
 
 def random_squarefree_poly(rng: random.Random, field: PrimeField, degree: int) -> FpPolynomial:
@@ -82,3 +96,35 @@ def random_ordinary_curve(rng: random.Random, field: PrimeField) -> EllipticCurv
         e = EllipticCurveW(field, a, b)
         if hasse_invariant(e) != 0:
             return e
+
+
+def count_calls(monkeypatch, module: str, qualname: str, key=lambda *args: None) -> Counter:
+    """Wrap isofib.<module>.<qualname> wherever it is bound; count calls by key(*args).
+
+    A plain function is replaced in every isofib module that imports it, a
+    method ("Class.name") on its class, so no call route escapes the count.
+    """
+    counts = Counter()
+
+    def wrap(fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            counts[key(*args)] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    home = importlib.import_module(f"isofib.{module}")
+    if "." in qualname:
+        cls_name, attr = qualname.split(".")
+        cls = getattr(home, cls_name)
+        monkeypatch.setattr(cls, attr, wrap(cls.__dict__[attr]))
+        return counts
+    original = getattr(home, qualname)
+    wrapper = wrap(original)
+    for name, mod in list(sys.modules.items()):
+        if name == "isofib" or name.startswith("isofib."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, wrapper)
+    return counts

@@ -16,6 +16,8 @@ from isofib.cli import (
 )
 from isofib.fibration import Rotation
 
+from helpers import count_calls
+
 
 def write_spec(tmp_path, doc, name="spec.json"):
     path = tmp_path / name
@@ -172,6 +174,60 @@ def test_decide_missing_data_names_curves(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == EXIT_VALIDATION
     assert "E" in err
+
+
+def test_decide_validation_failure_lists_every_violation(tmp_path, capsys):
+    doc = {"p": 5, "R": "C2", "T": [5, 1], "ram": {"a2": 3}}
+    code = main(["decide", write_spec(tmp_path, doc), "--set", "Enope"])
+    captured = capsys.readouterr()
+    assert code == EXIT_VALIDATION  # validation comes before --set syntax
+    assert captured.out == ""
+    assert captured.err == (
+        "invalid fibration data:\n"
+        "  - characteristic p=5 divides the group order 10\n"
+        "  - deg L1 = -a2/2 = -3/2 is not an integer\n"
+    )
+
+
+def test_decide_rejects_ordinary_override_against_deuring(tmp_path, capsys):
+    doc = {"p": 7, "R": "C4", "ram": {"a4p": 2, "a2": 1}}  # 7 = 3 mod 4
+    code = main(["decide", write_spec(tmp_path, doc), "--set", "E=ordinary", "--set", "Dp=1"])
+    captured = capsys.readouterr()
+    assert code == EXIT_VALIDATION
+    assert captured.out == ""  # rejected before any verdict is computed
+    assert "Deuring's congruence" in captured.err
+    assert "non-integral" not in captured.err
+
+
+def test_invariants_accepts_large_prime(tmp_path, capsys):
+    doc = {"p": 2**61 - 1, "R": "C2", "ram": {"a2": 2}}
+    code = main(["invariants", write_spec(tmp_path, doc), "--format", "json"])
+    assert code == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["spec"]["p"] == 2**61 - 1
+
+
+def test_each_command_validates_the_spec_once(tmp_path, monkeypatch, capsys):
+    calls = count_calls(monkeypatch, "fibration", "validate_spec")
+    path = write_spec(tmp_path, EXAMPLE_K3)
+    assert main(["decide", path, "--set", "E=ordinary", "--set", "Dp=1"]) == EXIT_OK
+    assert calls[None] == 1
+    assert main(["invariants", path, "--format", "json"]) == EXIT_OK
+    assert calls[None] == 2
+
+
+def test_scan_computes_each_curve_fact_once_per_prime(tmp_path, monkeypatch, capsys):
+    hasse = count_calls(monkeypatch, "curves", "hasse_invariant", key=lambda e: e.field.p)
+    squarefree = count_calls(
+        monkeypatch, "ffpoly", "FpPolynomial.is_squarefree", key=lambda f: f.field.p
+    )
+    doc = {"E": {"a": 1, "b": 1}, "branch": [1, 2, 0, 3, 0, 1, 1]}  # sextic: genus-2 D'
+    path = write_spec(tmp_path, doc, name="scan.json")
+    assert main(["scan", path, "--pmax", "60", "--format", "json"]) == EXIT_OK
+    good = [row["p"] for row in json.loads(capsys.readouterr().out)["rows"] if row["good"]]
+    assert len(good) > 10
+    for p in good:
+        assert hasse[p] == 1, p
+        assert squarefree[p] <= 3, p
 
 
 def test_decide_bad_override_syntax(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Field, polynomial and matrix arithmetic checks."""
 
 import random
+from time import perf_counter
 
 import pytest
 
@@ -9,7 +10,7 @@ from isofib.ffpoly import (
     FpMatrix,
     FpPolynomial,
     PrimeField,
-    ext_field_ops,
+    _is_prime,
     matrix_rank_det,
     poly_pow_coeff,
 )
@@ -24,6 +25,32 @@ def test_prime_field_rejects_bad_moduli():
             PrimeField(bad)
     with pytest.raises(ValueError):
         PrimeField(2**63 + 9)  # beyond a machine word
+
+
+def test_prime_field_accepts_large_mersenne_prime():
+    start = perf_counter()
+    assert PrimeField(2**61 - 1).p == 2305843009213693951
+    assert perf_counter() - start < 1.0  # trial division would need ~2^29 steps
+
+
+def test_prime_field_rejects_strong_pseudoprime():
+    # 151 * 751 * 28351 passes the strong test to bases 2, 3, 5 and 7
+    with pytest.raises(ValueError, match="not prime"):
+        PrimeField(3215031751)
+    with pytest.raises(ValueError, match="not prime"):
+        PrimeField((2**31 - 1) * (2**31 - 1))
+
+
+def test_is_prime_matches_sieve():
+    limit = 20_000
+    sieve = bytearray([1]) * limit
+    sieve[0] = sieve[1] = 0
+    for i in range(2, int(limit**0.5) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
+    assert [n for n in range(limit) if _is_prime(n)] == [n for n in range(limit) if sieve[n]]
+    for carmichael in (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265):
+        assert not _is_prime(carmichael)
 
 
 def test_prime_field_basic_ops():
@@ -183,7 +210,7 @@ def test_matrix_power():
 
 def test_ext_field_modulus_choice():
     # squares mod 7 are {1, 2, 4}: smallest non-residue is 3
-    ext = ext_field_ops(F7)
+    ext = ExtField(F7)
     assert ext.non_residue == 3
     w = (0, 1)
     assert ext.mul(w, w) == (3, 0)

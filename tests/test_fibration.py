@@ -15,7 +15,6 @@ from isofib.fibration import (
     TranslationClass,
     ValidationError,
     classify_fiber,
-    ensure_valid,
     genus_cover_tower,
     line_bundle_degrees,
     singular_fibers,
@@ -23,7 +22,7 @@ from isofib.fibration import (
     validate_spec,
 )
 
-from helpers import make_spec, random_valid_spec
+from helpers import make_spec, random_valid_spec, violations_of
 
 
 def test_translation_class_divisibility():
@@ -143,8 +142,7 @@ def test_classify_rejects_illegal_orders():
 
 
 def test_validate_odd_a2_fails_integrality():
-    spec = make_spec(Rotation.C2, a2=3)
-    violations = validate_spec(spec)
+    violations = violations_of(Rotation.C2, a2=3)
     assert any("deg L1" in v and "3/2" in v for v in violations)
 
 
@@ -155,53 +153,49 @@ def test_validate_balanced_c3_passes():
 
 
 def test_validate_c3_with_a2_fails_shape():
-    spec = make_spec(Rotation.C3, a2=1, a3p=1, a3m=1)
-    violations = validate_spec(spec)
+    violations = violations_of(Rotation.C3, a2=1, a3p=1, a3m=1)
     assert any("a2" in v and "order 3" in v for v in violations)
 
 
 def test_validate_characteristic_divides_group():
-    spec = make_spec(Rotation.C2, p=5, a2=2, translation=(5, 1))
-    assert any("divides the group order" in v for v in validate_spec(spec))
+    violations = violations_of(Rotation.C2, p=5, a2=2, translation=(5, 1))
+    assert any("divides the group order" in v for v in violations)
 
 
 def test_validate_no_cover_of_p1_without_branching():
-    spec = make_spec(Rotation.C2, a2=0, genus_base=0)
-    assert any("genus" in v for v in validate_spec(spec))
-    etale = make_spec(Rotation.C2, a2=0, genus_base=1)
-    assert validate_spec(etale) == []
+    assert any("genus" in v for v in violations_of(Rotation.C2, a2=0, genus_base=0))
+    assert violations_of(Rotation.C2, a2=0, genus_base=1) == []
 
 
 def test_validate_branch_poly_rules():
-    good = make_spec(Rotation.C2, a2=2, branch=[0, 1])  # t: root 0 plus infinity
-    assert validate_spec(good) == []
-    wrong_count = make_spec(Rotation.C2, a2=4, branch=[0, 1])
-    assert any("a2 = 4" in v for v in validate_spec(wrong_count))
-    not_squarefree = make_spec(Rotation.C2, a2=2, branch=[0, 0, 1])
-    assert any("squarefree" in v for v in validate_spec(not_squarefree))
-    wrong_rotation = make_spec(Rotation.C3, a3p=1, a3m=1, branch=[0, 1])
-    assert any("order-2 chain" in v for v in validate_spec(wrong_rotation))
+    assert violations_of(Rotation.C2, a2=2, branch=[0, 1]) == []  # t: root 0 plus infinity
+    wrong_count = violations_of(Rotation.C2, a2=4, branch=[0, 1])
+    assert any("a2 = 4" in v for v in wrong_count)
+    not_squarefree = violations_of(Rotation.C2, a2=2, branch=[0, 0, 1])
+    assert any("squarefree" in v for v in not_squarefree)
+    wrong_rotation = violations_of(Rotation.C3, a3p=1, a3m=1, branch=[0, 1])
+    assert any("order-2 chain" in v for v in wrong_rotation)
 
 
 def test_validate_j_invariant_compatibility():
     f13 = PrimeField(13)
     j0 = EllipticCurveW(f13, 0, 1)
     j1728 = EllipticCurveW(f13, 1, 0)
-    ok = make_spec(Rotation.C3, p=13, a3p=1, a3m=1, e_model=j0)
-    assert validate_spec(ok) == []
-    bad = make_spec(Rotation.C3, p=13, a3p=1, a3m=1, e_model=j1728)
-    assert any("j(E) = 0" in v for v in validate_spec(bad))
-    ok4 = make_spec(Rotation.C4, p=13, a4p=2, a4m=0, a2=1, e_model=j1728)
-    assert validate_spec(ok4) == []
-    bad4 = make_spec(Rotation.C4, p=13, a4p=2, a4m=0, a2=1, e_model=j0)
-    assert any("1728" in v for v in validate_spec(bad4))
+    assert violations_of(Rotation.C3, p=13, a3p=1, a3m=1, e_model=j0) == []
+    bad = violations_of(Rotation.C3, p=13, a3p=1, a3m=1, e_model=j1728)
+    assert any("j(E) = 0" in v for v in bad)
+    assert violations_of(Rotation.C4, p=13, a4p=2, a4m=0, a2=1, e_model=j1728) == []
+    bad4 = violations_of(Rotation.C4, p=13, a4p=2, a4m=0, a2=1, e_model=j0)
+    assert any("1728" in v for v in bad4)
 
 
-def test_ensure_valid_raises_with_all_violations():
-    spec = make_spec(Rotation.C2, a2=3)
+def test_construction_raises_with_all_violations():
+    # p = 5 divides |G| = 10 and a2 = 3 makes deg L1 non-integral: both are reported
     with pytest.raises(ValidationError) as err:
-        ensure_valid(spec)
-    assert err.value.violations
+        make_spec(Rotation.C2, p=5, a2=3, translation=(5, 1))
+    assert len(err.value.violations) == 2
+    assert any("divides the group order" in v for v in err.value.violations)
+    assert any("deg L1" in v for v in err.value.violations)
 
 
 # --- cover tower ------------------------------------------------------------
@@ -269,7 +263,7 @@ def test_invariants_four_branch_points():
     assert (inv.chi, inv.euler_total, inv.h1, inv.h2, inv.d) == (2, 24, 0, 1, 2)
     assert inv.k3_candidate and not inv.rational
     fibers = singular_fibers(make_spec(Rotation.C2, a2=4))
-    assert [fc.kodaira_type for fc in fibers] == [KodairaType.I0STAR] * 4
+    assert [(fc.kodaira_type, count) for fc, count in fibers] == [(KodairaType.I0STAR, 4)]
 
 
 def test_invariants_order_four_star_configuration():
@@ -298,7 +292,7 @@ def test_noether_identity_randomized():
     for _ in range(500):
         spec = random_valid_spec(rng)
         inv = surface_invariants(spec)
-        assert 12 * inv.chi == sum(fc.euler for fc in singular_fibers(spec))
+        assert 12 * inv.chi == sum(count * fc.euler for fc, count in singular_fibers(spec))
 
 
 def test_cover_tower_chi_consistency():
@@ -339,9 +333,23 @@ def test_sign_flip_duality():
         assert validate_spec(flipped) == []
         degrees = line_bundle_degrees(spec)
         assert line_bundle_degrees(flipped) == tuple(reversed(degrees))
-        orig = sorted(fc.kodaira_type.value for fc in singular_fibers(spec))
-        dual = sorted(swap[fc.kodaira_type].value for fc in singular_fibers(flipped))
+        orig = sorted((fc.kodaira_type.value, n) for fc, n in singular_fibers(spec))
+        dual = sorted((swap[fc.kodaira_type].value, n) for fc, n in singular_fibers(flipped))
         assert orig == dual
+
+
+def test_singular_fibers_are_counted_not_listed():
+    spec = make_spec(Rotation.C2, a2=2 * 10**6)
+    fibers = singular_fibers(spec)
+    assert len(fibers) == 1
+    assert fibers[0] == (classify_fiber(Stabilizer.rotation(2)), 2 * 10**6)
+    assert surface_invariants(spec).euler_total == 12 * 10**6
+
+
+def test_singular_fibers_order_and_zero_counts():
+    spec = make_spec(Rotation.C6, a6p=1, a6m=1, a3m=3, a2=2)
+    labels = [(fc.kodaira_type.value, n) for fc, n in singular_fibers(spec)]
+    assert labels == [("I0*", 2), ("IV*", 3), ("II", 1), ("II*", 1)]
 
 
 def test_fiber_class_is_immutable():

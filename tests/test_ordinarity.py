@@ -21,6 +21,7 @@ from isofib.ordinarity import (
     CLAUSE_TRIVIAL,
     SCOPE_PAIR,
     SCOPE_SINGLE,
+    CurveOrdinarityReport,
     CurveReportEntry,
     MissingReportDataError,
     NotGenericallyOrdinaryError,
@@ -260,10 +261,22 @@ def test_hasse_multiplicity_integrality_exhaustive():
                 assert (p - 1) * euler % 12 == 0, (p, euler)
 
 
-def test_hasse_divisor_rejects_impossible_congruence():
+def test_build_report_rejects_impossible_congruence():
     spec = make_spec(Rotation.C4, p=7, a4p=2, a4m=0, a2=1)  # 7 = 3 mod 4
+    for value in ("ordinary", "1"):
+        with pytest.raises(ValueError, match="Deuring's congruence"):
+            build_report(spec, {"E": value})
+    for rotation, counts in ((Rotation.C3, {"a3p": 1, "a3m": 1}),
+                             (Rotation.C6, {"a6p": 1, "a6m": 1, "a2": 2})):
+        with pytest.raises(ValueError, match="p = 1 mod 3"):
+            build_report(make_spec(rotation, p=5, **counts), {"E": "ordinary"})
+    # one-sided: a supersingular E is never rejected, whatever p is
+    assert build_report(spec, {"E": "nonordinary"}).e.ordinary is False
+    assert build_report(make_spec(Rotation.C4, p=13, a4p=2, a2=1), {"E": "nonordinary"})
+    # the divisor keeps its own integrality guard for a report built by hand
+    forged = CurveOrdinarityReport(e=CurveReportEntry(1, 1, None, "supplied"))
     with pytest.raises(ValueError, match="non-integral"):
-        hasse_divisor(spec, build_report(spec, {"E": "ordinary"}))
+        hasse_divisor(spec, forged)
 
 
 def test_hasse_poly_z2_known_value():
