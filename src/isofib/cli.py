@@ -591,26 +591,25 @@ def _scan_one_prime(curve: EllipticCurveQ, branch: list[int] | None, p: int) -> 
         row["E_ord"] = ordinary
         row["verdict"] = ordinary
         return row
-    degree = len(branch) - 1
-    while degree >= 0 and branch[degree] % p == 0:
-        degree -= 1
-    if degree != len(branch) - 1:
+    if branch[-1] % p == 0:
         return row  # leading coefficient vanishes: the branch degree drops
     branch_p = FpPolynomial(field, branch)
-    if not branch_p.is_squarefree():
+    a2 = branch_p.degree() + (branch_p.degree() % 2)
+    try:
+        spec = FibrationSpec(
+            rotation=Rotation.C2,
+            translation=TranslationClass(1, 1),
+            genus_base=0,
+            ram=RamificationData(a2=a2),
+            field=field,
+            e_model=curve.reduce(field),
+            branch_poly=branch_p,
+        )
+    except ValidationError:
+        # with E and the degree of the branch polynomial both surviving
+        # reduction mod p, squarefreeness is the only rule this spec can break
         return row
     row["good"] = True
-    e_p = curve.reduce(field)
-    a2 = branch_p.degree() + (branch_p.degree() % 2)
-    spec = FibrationSpec(
-        rotation=Rotation.C2,
-        translation=TranslationClass(1, 1),
-        genus_base=0,
-        ram=RamificationData(a2=a2),
-        field=field,
-        e_model=e_p,
-        branch_poly=branch_p,
-    )
     report = build_report(spec)
     row["E_ord"] = report.e.ordinary
     row["Dp_ord"] = bool(report.dp.ordinary)

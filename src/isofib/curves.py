@@ -9,8 +9,9 @@ Two routes to every ordinarity fact:
   turned into the numerator of the zeta function, whose reduction mod p has
   degree equal to the p-rank.
 
-The oracles enumerate and therefore carry hard input bounds; exceeding a
-bound raises ``OracleBoundError`` rather than silently truncating.
+The oracles enumerate and therefore carry hard input bounds; the closed forms
+refuse a power f^((p-1)/2) of degree beyond ``CLOSED_FORM_MAX_DEGREE``.
+Exceeding a bound raises ``OracleBoundError`` rather than silently truncating.
 """
 
 from __future__ import annotations
@@ -29,10 +30,11 @@ from .ffpoly import (
 POINT_COUNT_MAX_P = 10_000
 ZETA_MAX_P = 13
 ZETA_MAX_GENUS = 2
+CLOSED_FORM_MAX_DEGREE = 150_000  # largest deg f^((p-1)/2) the closed forms build
 
 
 class OracleBoundError(Exception):
-    """An enumeration oracle was asked to run outside its safe input bounds."""
+    """An oracle or a closed form was asked to run outside its safe input bounds."""
 
 
 @dataclass(frozen=True)
@@ -117,10 +119,21 @@ def j_invariant_and_aut(curve: EllipticCurveW) -> tuple[int, int]:
     return j, 2
 
 
+def _check_closed_form_bound(f: FpPolynomial) -> None:
+    degree = f.degree() * (f.field.p - 1) // 2
+    if degree > CLOSED_FORM_MAX_DEGREE:
+        raise OracleBoundError(
+            f"closed form refused: f^((p-1)/2) has degree {degree}, "
+            f"exceeding bound {CLOSED_FORM_MAX_DEGREE}"
+        )
+
+
 def hasse_invariant(curve: EllipticCurveW) -> int:
     """Coefficient of x^(p-1) in (x^3 + ax + b)^((p-1)/2); zero iff supersingular."""
     p = curve.field.p
-    return poly_pow_coeff(curve.rhs_poly(), (p - 1) // 2, p - 1)
+    f = curve.rhs_poly()
+    _check_closed_form_bound(f)
+    return poly_pow_coeff(f, (p - 1) // 2, p - 1)
 
 
 def point_count_oracle(curve: EllipticCurveW) -> tuple[int, int]:
@@ -151,6 +164,7 @@ def cartier_manin(model: HyperellipticModel) -> FpMatrix:
     """
     g = model.genus
     p = model.field.p
+    _check_closed_form_bound(model.f)
     powered = model.f ** ((p - 1) // 2)
     entries = [[powered.coeff(p * i - j) for j in range(1, g + 1)] for i in range(1, g + 1)]
     return FpMatrix(model.field, entries)

@@ -6,6 +6,9 @@ coefficient tuples, lowest degree first, with the trailing coefficient nonzero
 (the zero polynomial is the empty tuple).  Matrices are immutable row-major
 tuples.  Everything is exact: no floating point, no external bignum library.
 
+Polynomials have one exact multiply (byte-aligned Kronecker substitution) and
+one power built on it; a coefficient of f^e is read off the full power.
+
 The quadratic extension GF(p^2) is realized as GF(p)[w]/(w^2 - n) with n the
 smallest positive quadratic non-residue mod p, chosen deterministically so
 that runs are reproducible.  Elements are pairs ``(a, b)`` meaning a + b*w.
@@ -126,34 +129,28 @@ def _normalize(coeffs: list[int]) -> tuple[int, ...]:
 
 
 def _mul_coeffs(p: int, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Exact product of coefficient tuples mod p.
+    """Exact product of coefficient tuples mod p, by Kronecker substitution.
 
-    Schoolbook for small operands; Kronecker substitution (packing the
-    coefficients into one big integer) once the quadratic cost would dominate,
-    so that CPython's subquadratic integer multiplication does the heavy
-    lifting.  Both routes give identical results.
+    Each operand is packed into one integer with a fixed number of bytes per
+    coefficient, so that CPython's subquadratic integer multiplication does the
+    work at every size (Harvey, J. Symbolic Comput. 2009).  A slot of the
+    product holds a sum of at most min(len(a), len(b)) products of residues
+    below p, which the width bounds, so no slot carries into the next; packing
+    and unpacking are byte copies, linear in the size.
     """
     if not a or not b:
         return ()
-    if len(a) * len(b) <= 4096:
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-        return tuple(c % p for c in out)
-    # slot width: products of residues < p^2, at most min(len) summands per slot
-    slot = 2 * (p - 1).bit_length() + min(len(a), len(b)).bit_length() + 1
-    pack_a = sum(ai << (i * slot) for i, ai in enumerate(a))
-    pack_b = sum(bj << (j * slot) for j, bj in enumerate(b))
-    prod = pack_a * pack_b
-    mask = (1 << slot) - 1
-    out = []
-    for _ in range(len(a) + len(b) - 1):
-        out.append((prod & mask) % p)
-        prod >>= slot
-    return tuple(out)
+    width = (2 * (p - 1).bit_length() + min(len(a), len(b)).bit_length() + 8) // 8
+
+    def pack(coeffs: tuple[int, ...]) -> int:
+        return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in coeffs), "little")
+
+    packed_a = pack(a)
+    # CPython squares an integer faster than it multiplies two
+    packed_b = packed_a if b is a else pack(b)
+    size = (len(a) + len(b) - 1) * width
+    raw = (packed_a * packed_b).to_bytes(size, "little")
+    return tuple(int.from_bytes(raw[i : i + width], "little") % p for i in range(0, size, width))
 
 
 @dataclass(frozen=True)
@@ -226,16 +223,19 @@ class FpPolynomial:
         return FpPolynomial(self.field, [c * a for a in self.coeffs])
 
     def __pow__(self, e: int) -> "FpPolynomial":
+        """Binary power on raw coefficient tuples; squares only while bits of e remain."""
         if e < 0:
             raise ValueError("negative polynomial power")
-        result = FpPolynomial.one(self.field)
-        base = self
-        while e:
+        p = self.field.p
+        result: tuple[int, ...] = (1,)
+        base = self.coeffs
+        while True:
             if e & 1:
-                result = result * base
-            base = base * base
+                result = _mul_coeffs(p, result, base)
             e >>= 1
-        return result
+            if not e:
+                return FpPolynomial(self.field, result)
+            base = _mul_coeffs(p, base, base)
 
     def evaluate(self, x: int) -> int:
         p = self.field.p
@@ -291,31 +291,14 @@ class FpPolynomial:
         return f"FpPolynomial(p={self.field.p}, coeffs={self.coeffs})"
 
 
-def _truncated_mul(p: int, a: tuple[int, ...], b: tuple[int, ...], top: int) -> tuple[int, ...]:
-    # coefficients above `top` can never feed back into coefficient `top`
-    prod = _mul_coeffs(p, a[: top + 1], b[: top + 1])
-    return prod[: top + 1]
-
-
 def poly_pow_coeff(f: FpPolynomial, e: int, k: int) -> int:
-    """Coefficient of x^k in f^e, by binary exponentiation with exact products.
+    """Coefficient of x^k in f^e, read off the full power.
 
-    Intermediate results are truncated above degree k, which never changes the
-    answer: in a product, the coefficient of x^k only sees factors of degree
-    at most k.  f^0 = 1; a k beyond the degree of f^e gives 0.
+    f^0 = 1; a k beyond the degree of f^e gives 0.
     """
     if e < 0 or k < 0:
         raise ValueError("exponent and coefficient index must be nonnegative")
-    p = f.field.p
-    result: tuple[int, ...] = (1,)
-    base = f.coeffs[: k + 1]
-    while e:
-        if e & 1:
-            result = _truncated_mul(p, result, base, k)
-        e >>= 1
-        if e:
-            base = _truncated_mul(p, base, base, k)
-    return result[k] if k < len(result) else 0
+    return (f**e).coeff(k)
 
 
 # ---------------------------------------------------------------------------

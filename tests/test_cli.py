@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line surface."""
 
 import json
+from time import perf_counter
 
 import pytest
 
@@ -227,7 +228,7 @@ def test_scan_computes_each_curve_fact_once_per_prime(tmp_path, monkeypatch, cap
     assert len(good) > 10
     for p in good:
         assert hasse[p] == 1, p
-        assert squarefree[p] <= 3, p
+        assert squarefree[p] <= 2, p
 
 
 def test_decide_bad_override_syntax(tmp_path, capsys):
@@ -319,6 +320,29 @@ def test_scan_pmax_bound(tmp_path, capsys):
     path = write_spec(tmp_path, {"E": {"a": 0, "b": 1}}, name="scan.json")
     code = main(["scan", path, "--pmax", "20000"])
     assert code == EXIT_ORACLE_BOUND
+
+
+def test_scan_flags_bad_reduction_of_curve_and_branch(tmp_path, capsys):
+    # disc(x^4 + 7) = 256 * 7^3 and 4a^3 + 27b^2 = 31: the bad primes are 7 and 31
+    doc = {"E": {"a": 1, "b": 1}, "branch": [7, 0, 0, 0, 1]}
+    path = write_spec(tmp_path, doc, name="scan.json")
+    assert main(["scan", path, "--pmax", "40", "--format", "json"]) == EXIT_OK
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [r["p"] for r in rows] == [5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+    assert {r["p"] for r in rows if not r["good"]} == {7, 31}
+    for r in rows:
+        assert (r["Dp_ord"] is None) == (not r["good"]), r
+
+
+def test_decide_refuses_hasse_invariant_beyond_closed_form_bound(tmp_path, capsys):
+    doc = {"p": 1000003, "R": "C2", "ram": {"a2": 4}, "E": {"a": 1, "b": 1}}
+    start = perf_counter()
+    code = main(["decide", write_spec(tmp_path, doc), "--set", "Dp=1"])
+    assert perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert code == EXIT_ORACLE_BOUND
+    assert captured.out == ""
+    assert "closed form refused" in captured.err
 
 
 def test_scan_rejects_singular_integral_model(tmp_path, capsys):

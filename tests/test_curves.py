@@ -5,6 +5,7 @@ import random
 import pytest
 
 from isofib.curves import (
+    CLOSED_FORM_MAX_DEGREE,
     EllipticCurveQ,
     EllipticCurveW,
     HyperellipticModel,
@@ -16,7 +17,7 @@ from isofib.curves import (
     point_count_oracle,
     zeta_prank_oracle,
 )
-from isofib.ffpoly import FpPolynomial, PrimeField, matrix_rank_det
+from isofib.ffpoly import FpPolynomial, PrimeField, _is_prime, matrix_rank_det
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -141,6 +142,27 @@ def test_elliptic_oracle_agreement_exhaustive():
                 e = EllipticCurveW(field, a, b)
                 _, ap = point_count_oracle(e)
                 assert (hasse_invariant(e) == 0) == (ap % p == 0), (p, a, b)
+
+
+def test_hasse_invariant_matches_point_count_over_many_primes():
+    # #E(GF(p)) = 1 - H mod p, so H is the Frobenius trace mod p; x^3 + x has f(0) = 0
+    for a, b in ((1, 1), (0, 1), (1, 0)):
+        for p in range(5, 501):
+            if not _is_prime(p) or (4 * a**3 + 27 * b**2) % p == 0:
+                continue
+            e = curve(p, a, b)
+            _, ap = point_count_oracle(e)
+            assert hasse_invariant(e) == ap % p, (p, a, b)
+
+
+def test_closed_forms_refuse_beyond_degree_bound():
+    # 3 * (100003 - 1) / 2 and 6 * (50021 - 1) / 2 both exceed the bound
+    assert 3 * (99991 - 1) // 2 <= CLOSED_FORM_MAX_DEGREE < 3 * (100003 - 1) // 2
+    with pytest.raises(OracleBoundError, match="closed form refused"):
+        hasse_invariant(curve(100003, 1, 1))
+    sextic = hyper(50021, [1, 2, 0, 3, 0, 1, 1])
+    with pytest.raises(OracleBoundError, match="closed form refused"):
+        cartier_manin(sextic)
 
 
 def _random_squarefree(rng, field, degree):

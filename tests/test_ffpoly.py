@@ -5,6 +5,7 @@ from time import perf_counter
 
 import pytest
 
+from isofib import ffpoly
 from isofib.ffpoly import (
     ExtField,
     FpMatrix,
@@ -128,19 +129,51 @@ def test_poly_pow_matches_repeated_product():
         acc = acc * f
 
 
+def _schoolbook(p, a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = (out[i + j] + ai * bj) % p
+    return out
+
+
 def test_kronecker_product_matches_schoolbook():
-    # force the packed path with a large degree and compare against schoolbook
     rng = random.Random(7)
+    for p in (5, 101, 2**61 - 1):
+        field = PrimeField(p)
+        for n in range(1, 13):
+            for m in range(1, 13):
+                a = [rng.randrange(p) for _ in range(n - 1)] + [p - 1]
+                b = [rng.randrange(p) for _ in range(m - 1)] + [p - 1]
+                prod = FpPolynomial(field, a) * FpPolynomial(field, b)
+                assert prod == FpPolynomial(field, _schoolbook(p, a, b)), (p, n, m)
+        full = [p - 1] * 12  # the fullest slots the packed width must hold
+        assert (FpPolynomial(field, full) ** 2).coeffs == tuple(_schoolbook(p, full, full))
     field = PrimeField(101)
     a = [rng.randrange(101) for _ in range(90)]
     b = [rng.randrange(101) for _ in range(85)]
-    fa, fb = FpPolynomial(field, a), FpPolynomial(field, b)
-    prod = fa * fb  # len(a)*len(b) > 4096: Kronecker route
-    naive = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            naive[i + j] = (naive[i + j] + ai * bj) % 101
-    assert prod == FpPolynomial(field, naive)
+    assert FpPolynomial(field, a) * FpPolynomial(field, b) == FpPolynomial(
+        field, _schoolbook(101, a, b)
+    )
+
+
+def test_poly_pow_multiplies_only_up_to_the_top_bit(monkeypatch):
+    products = []
+    real_mul = ffpoly._mul_coeffs
+
+    def recording_mul(p, a, b):
+        out = real_mul(p, a, b)
+        products.append(len(out))
+        return out
+
+    monkeypatch.setattr(ffpoly, "_mul_coeffs", recording_mul)
+    f = FpPolynomial(PrimeField(101), [3, 1, 0, 1])
+    for e in (1, 2, 3, 4, 5, 8, 13, 50, 64, 99):
+        products.clear()
+        powered = f**e
+        assert powered.degree() == 3 * e
+        assert max(products) <= 3 * e + 1, e
+        assert len(products) <= bin(e).count("1") + e.bit_length() - 1, e
 
 
 def test_divmod_and_gcd():
