@@ -25,33 +25,20 @@ import sys
 from dataclasses import asdict
 from fractions import Fraction
 
-from .curves import (
-    EllipticCurveQ,
-    EllipticCurveW,
-    HyperellipticModel,
-    OracleBoundError,
-    cartier_manin,
-    hasse_invariant,
-    point_count_oracle,
-)
+from .curves import EllipticCurveQ, EllipticCurveW, OracleBoundError, hasse_invariant
 from .ffpoly import FpPolynomial, PrimeField
 from .fibration import (
     RAM_KEYS,
     FibrationSpec,
-    KodairaType,
     RamificationData,
     Rotation,
-    Stabilizer,
     TranslationClass,
     ValidationError,
-    classify_fiber,
     genus_cover_tower,
-    line_bundle_degrees,
     singular_fibers,
     surface_invariants,
 )
 from .ordinarity import (
-    CLAUSE_RATIONAL,
     CURVE_NAMES,
     MissingReportDataError,
     build_report,
@@ -66,6 +53,7 @@ EXIT_PARSE = 2
 EXIT_ORACLE_BOUND = 3
 
 SCAN_MAX_P = 10_000
+DIVISOR_LISTING_MAX = 100_000  # largest Hasse divisor decide lists fiber by fiber
 
 _ROTATIONS = {
     "trivial": Rotation.TRIVIAL,
@@ -111,7 +99,7 @@ def parse_spec_document(doc) -> FibrationSpec:
 
     p = _want_int(doc, "p", errors, minimum=5)
     rot_name = doc.get("R")
-    rotation = _ROTATIONS.get(rot_name)
+    rotation = _ROTATIONS.get(rot_name) if isinstance(rot_name, str) else None
     if rotation is None:
         errors.append(f"R: expected one of {sorted(_ROTATIONS)}, got {rot_name!r}")
 
@@ -232,11 +220,11 @@ def _print_json(payload: dict) -> int:
     return EXIT_OK
 
 
-def cmd_invariants(args) -> int:
-    spec = load_spec(args.spec_file)
+def invariants_payload(spec: FibrationSpec) -> dict:
+    """Numerical invariants, singular fibers and cover tower of a valid spec."""
     inv = surface_invariants(spec)
     tower = genus_cover_tower(spec)
-    payload = {
+    return {
         "spec": spec_to_document(spec),
         "deg_L": list(inv.deg_l),
         "chi": inv.chi,
@@ -252,6 +240,10 @@ def cmd_invariants(args) -> int:
         ],
         "tower": {"Dp": tower[0], "Dpp": tower[1], "Dppp": tower[2]},
     }
+
+
+def cmd_invariants(args) -> int:
+    payload = invariants_payload(load_spec(args.spec_file))
     if args.format == "json":
         return _print_json(payload)
     doc = payload["spec"]
@@ -301,19 +293,25 @@ def _parse_set_overrides(pairs: list[str]) -> dict:
     return overrides
 
 
-def cmd_decide(args) -> int:
-    spec = load_spec(args.spec_file)
-    overrides = _parse_set_overrides(args.set or [])
+def decide_payload(spec: FibrationSpec, overrides: dict) -> dict:
+    """Verdict, curve report, consistency check and Hasse divisor of a valid spec.
+
+    The divisor is listed one entry per singular fiber; more than
+    DIVISOR_LISTING_MAX fibers raises OracleBoundError before the listing.
+    """
     report = build_report(spec, overrides)
     verdict = decide(spec, report)
-    corollary = check_supersingular_corollary(spec, verdict, report)
-
     divisor = None
     e_entry = report.get("E")
     if e_entry is not None and e_entry.ordinary:
         divisor = hasse_divisor(spec, report)
-
-    payload = {
+        fibers = sum(count for _, _, count in divisor.entries)
+        if fibers > DIVISOR_LISTING_MAX:
+            raise OracleBoundError(
+                f"divisor listing refused: {fibers} singular fibers exceed bound "
+                f"{DIVISOR_LISTING_MAX}"
+            )
+    return {
         "spec": spec_to_document(spec),
         "ordinary": verdict.ordinary,
         "scope": verdict.scope,
@@ -323,20 +321,25 @@ def cmd_decide(args) -> int:
             name: None if report.get(name) is None else asdict(report.get(name))
             for name in CURVE_NAMES
         },
-        "consistency_violation": corollary,
+        "consistency_violation": check_supersingular_corollary(spec, verdict, report),
         "hasse_divisor": None
         if divisor is None
         else {
             "total_degree": divisor.total_degree,
             "entries": [
                 {"type": fc.kodaira_type.value, "multiplicity": mult}
-                for fc, mult in divisor.entries
+                for fc, mult, count in divisor.entries
+                for _ in range(count)
             ],
         },
     }
+
+
+def cmd_decide(args) -> int:
+    spec = load_spec(args.spec_file)
+    payload = decide_payload(spec, _parse_set_overrides(args.set or []))
     if args.format == "json":
         return _print_json(payload)
-
     print(f"verdict  {'ordinary' if payload['ordinary'] else 'NOT ordinary'}")
     print(f"scope    {payload['scope']}")
     print(f"clause   {payload['clause']}")
@@ -362,164 +365,91 @@ def cmd_decide(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the golden example suite
+# the golden example suite: spec documents run through the command payloads
+
+# (name, detail, cases); a case is (spec document, --set overrides, expected top-level
+# payload fields of each command it runs).  Written as JSON, the documents' own format:
+# as a Python literal it cost about 0.4 MB of peak memory to parse at every start-up.
+GOLDEN_SUITE = json.loads("""[
+ ["fiber-euler-table", "7 rotation stabilizer classes -> Kodaira types and Euler numbers", [
+  [{"p": 7, "R": "C6", "ram": {"a2": 2, "a3p": 1, "a3m": 1, "a6p": 1, "a6m": 1}}, {},
+   {"invariants": {"euler": 36, "fibers": [
+    {"type": "I0*", "count": 2, "euler": 6}, {"type": "IV", "count": 1, "euler": 4},
+    {"type": "IV*", "count": 1, "euler": 8}, {"type": "II", "count": 1, "euler": 2},
+    {"type": "II*", "count": 1, "euler": 10}]}}],
+  [{"p": 5, "R": "C4", "ram": {"a4p": 1, "a4m": 1}}, {},
+   {"invariants": {"euler": 12, "fibers": [
+    {"type": "III", "count": 1, "euler": 3}, {"type": "III*", "count": 1, "euler": 9}]}}]]],
+ ["two-branch-points-rational", "a2=2 over the line: chi=1, Euler=12, rational", [
+  [{"p": 5, "R": "C2", "ram": {"a2": 2}}, {},
+   {"invariants": {"chi": 1, "euler": 12, "rational": true}}]]],
+ ["four-branch-points-k3", "a2=4 over the line: chi=2, Euler=24, K3 candidate, four I0*", [
+  [{"p": 7, "R": "C2", "ram": {"a2": 4}}, {},
+   {"invariants": {"chi": 2, "euler": 24, "k3_candidate": true,
+                   "fibers": [{"type": "I0*", "count": 4, "euler": 6}],
+                   "tower": {"Dp": 1, "Dpp": null, "Dppp": null}}}]]],
+ ["rational-exception", "supersingular fiber on a rational surface: ordinary by h-vanishing", [
+  [{"p": 5, "R": "C2", "ram": {"a2": 2}, "E": {"a": 0, "b": 1}, "branch": [0, 1]}, {},
+   {"decide": {"ordinary": true, "clause": "rational-exception"}}]]],
+ ["kummer-not-ordinary", "K3-type configuration with supersingular D': NOT ordinary", [
+  [{"p": 7, "R": "C2", "ram": {"a2": 4}, "E": {"a": 0, "b": 1}, "branch": [1, 0, 0, 0, 1]}, {},
+   {"decide": {"ordinary": false, "clause": "rotation-2"}}]]],
+ ["trivial-rotation-product",
+  "trivial rotation: ordinary fiber + ordinary base -> ordinary surface", [
+  [{"p": 5, "R": "trivial", "genus_base": 2}, {"E": "ordinary", "C": "ordinary"},
+   {"decide": {"ordinary": true, "clause": "rotation-trivial"}}]]],
+ ["hasse-invariant-values",
+  "x^3+1 at 7, x^3+x at 7, x^3+1 at 5: ordinary, supersingular, supersingular", [
+  [{"p": 7, "R": "trivial", "E": {"a": 0, "b": 1}}, {},
+   {"decide": {"ordinary": true, "clause": "rotation-trivial"}}],
+  [{"p": 7, "R": "trivial", "E": {"a": 1, "b": 0}}, {},
+   {"decide": {"ordinary": false, "clause": "rotation-trivial"}}],
+  [{"p": 5, "R": "trivial", "E": {"a": 0, "b": 1}}, {},
+   {"decide": {"ordinary": false, "clause": "rotation-trivial"}}]]],
+ ["order-four-divisor", "two III fibers + one I0* at p=13: divisor degree p-1, parts {3,3,6}", [
+  [{"p": 13, "R": "C4", "ram": {"a4p": 2, "a2": 1}}, {"E": "ordinary", "Dp": "1"},
+   {"invariants": {"euler": 12}, "decide": {"hasse_divisor": {"total_degree": 12, "entries": [
+    {"type": "I0*", "multiplicity": 6}, {"type": "III", "multiplicity": 3},
+    {"type": "III", "multiplicity": 3}]}}}]]],
+ ["order-four-star-divisor",
+  "two III* fibers + one I0* at p=13: divisor degree 2(p-1), III* parts 9", [
+  [{"p": 13, "R": "C4", "ram": {"a4m": 2, "a2": 1}}, {"E": "ordinary", "Dp": "1"},
+   {"invariants": {"euler": 24}, "decide": {"hasse_divisor": {"total_degree": 24, "entries": [
+    {"type": "I0*", "multiplicity": 6}, {"type": "III*", "multiplicity": 9},
+    {"type": "III*", "multiplicity": 9}]}}}]]],
+ ["order-six-degrees", "order-6 example: deg L = (-2, -1, -2, -1, -2)", [
+  [{"p": 7, "R": "C6", "ram": {"a6p": 1, "a6m": 1, "a2": 2}}, {},
+   {"invariants": {"deg_L": [-2, -1, -2, -1, -2]}}]]]
+]""")
 
 
-def _supersingular_quartic(field: PrimeField) -> FpPolynomial:
-    """First monic squarefree quartic (lexicographic) whose double cover is
-    a supersingular genus-1 curve."""
-    p = field.p
-    for mask in range(p**4):
-        coeffs = [mask % p, (mask // p) % p, (mask // p**2) % p, (mask // p**3) % p, 1]
-        f = FpPolynomial(field, coeffs)
-        if not f.is_squarefree():
-            continue
-        if cartier_manin(HyperellipticModel(f)).entries[0][0] == 0:
-            return f
-    raise AssertionError(f"no supersingular quartic over GF({p})")
-
-
-def _make_spec(rotation, p, genus_base=0, e_model=None, branch=None, **counts):
-    field = PrimeField(p)
-    return FibrationSpec(
-        rotation=rotation,
-        translation=TranslationClass(1, 1),
-        genus_base=genus_base,
-        ram=RamificationData(**counts),
-        field=field,
-        e_model=e_model,
-        branch_poly=FpPolynomial(field, branch) if branch is not None else None,
-    )
-
-
-def _check(condition: bool, detail: str) -> str:
-    if not condition:
-        raise AssertionError(detail)
-    return detail
-
-
-def _golden_fiber_table() -> str:
-    expected = {
-        (2, 1): ("I0*", 6),
-        (3, 1): ("IV", 4),
-        (3, -1): ("IV*", 8),
-        (4, 1): ("III", 3),
-        (4, -1): ("III*", 9),
-        (6, 1): ("II", 2),
-        (6, -1): ("II*", 10),
-    }
-    for (order, sign), (label, euler) in expected.items():
-        fc = classify_fiber(Stabilizer.rotation(order, sign))
-        _check(fc.kodaira_type.value == label, f"order {order} sign {sign}")
-        _check(fc.euler == euler, f"euler of {label}")
-    fc = classify_fiber(Stabilizer.translation(4))
-    _check(fc.euler == 0, "translation stabilizers give Euler number 0")
-    return "8 stabilizer classes -> Kodaira types and Euler numbers"
-
-
-def _golden_two_branch_points() -> str:
-    inv = surface_invariants(_make_spec(Rotation.C2, 5, a2=2))
-    _check(inv.chi == 1 and inv.euler_total == 12 and inv.rational, "chi/euler/flag")
-    return "a2=2 over the line: chi=1, Euler=12, rational"
-
-
-def _golden_four_branch_points() -> str:
-    spec = _make_spec(Rotation.C2, 7, a2=4)
-    inv = surface_invariants(spec)
-    _check(inv.chi == 2 and inv.euler_total == 24 and inv.k3_candidate, "chi/euler/flag")
-    fibers = [(fc.kodaira_type.value, count, fc.euler) for fc, count in singular_fibers(spec)]
-    _check(fibers == [("I0*", 4, 6)], "four I0* fibers")
-    _check(genus_cover_tower(spec)[0] == 1, "double cover has genus 1")
-    return "a2=4 over the line: chi=2, Euler=24, K3 candidate, four I0*"
-
-
-def _golden_rational_exception() -> str:
-    e = EllipticCurveW(PrimeField(5), 0, 1)
-    _check(point_count_oracle(e)[1] == 0, "trace 0 at p=5")
-    spec = _make_spec(Rotation.C2, 5, a2=2, e_model=e, branch=[0, 1])
-    verdict = decide(spec, build_report(spec))
-    _check(verdict.ordinary and verdict.clause == CLAUSE_RATIONAL, "verdict")
-    return "supersingular fiber on a rational surface: ordinary by h-vanishing"
-
-
-def _golden_kummer_not_ordinary() -> str:
-    field = PrimeField(7)
-    e = EllipticCurveW(field, 0, 1)
-    _check(hasse_invariant(e) != 0, "ordinary fiber at p=7")
-    quartic = _supersingular_quartic(field)
-    spec = _make_spec(Rotation.C2, 7, a2=4, e_model=e, branch=list(quartic.coeffs))
-    verdict = decide(spec, build_report(spec))
-    _check(not verdict.ordinary, "supersingular double cover forces non-ordinary")
-    return "K3-type configuration with supersingular D': NOT ordinary"
-
-
-def _golden_trivial_rotation() -> str:
-    spec = _make_spec(Rotation.TRIVIAL, 5, genus_base=2)
-    report = build_report(spec, {"E": "ordinary", "C": "ordinary"})
-    verdict = decide(spec, report)
-    _check(verdict.ordinary, "product rule")
-    return "trivial rotation: ordinary fiber + ordinary base -> ordinary surface"
-
-
-def _golden_hasse_values() -> str:
-    f7 = PrimeField(7)
-    _check(hasse_invariant(EllipticCurveW(f7, 0, 1)) == 3, "x^3+1 at 7")
-    _check(hasse_invariant(EllipticCurveW(f7, 1, 0)) == 0, "x^3+x at 7")
-    _check(hasse_invariant(EllipticCurveW(PrimeField(5), 0, 1)) == 0, "x^3+1 at 5")
-    return "Hasse invariants: 3, 0, 0 for the three reference curves"
-
-
-def _golden_order_four_divisor() -> str:
-    spec = _make_spec(Rotation.C4, 13, a4p=2, a2=1)
-    inv = surface_invariants(spec)
-    _check(inv.euler_total == 12, "Euler 12")
-    div = hasse_divisor(spec, build_report(spec, {"E": "ordinary"}))
-    _check(sorted(m for _, m in div.entries) == [3, 3, 6], "multiplicities 3,3,6")
-    _check(div.total_degree == 12, "degree p-1")
-    return "two III fibers + one I0* at p=13: divisor degree p-1, parts {3,3,6}"
-
-
-def _golden_order_four_star_divisor() -> str:
-    spec = _make_spec(Rotation.C4, 13, a4m=2, a2=1)
-    inv = surface_invariants(spec)
-    _check(inv.euler_total == 24, "Euler 24")
-    div = hasse_divisor(spec, build_report(spec, {"E": "ordinary"}))
-    stars = [m for fc, m in div.entries if fc.kodaira_type is KodairaType.IIISTAR]
-    _check(stars == [9, 9], "III* multiplicity 3(p-1)/4 = 9")
-    _check(div.total_degree == 24, "degree 2(p-1)")
-    return "two III* fibers + one I0* at p=13: divisor degree 2(p-1), III* parts 9"
-
-
-def _golden_order_six_degrees() -> str:
-    spec = _make_spec(Rotation.C6, 7, a6p=1, a6m=1, a2=2)
-    _check(line_bundle_degrees(spec) == (-2, -1, -2, -1, -2), "five degrees")
-    return "order-6 example: deg L = (-2, -1, -2, -1, -2)"
-
-
-GOLDEN_SUITE = (
-    ("fiber-euler-table", _golden_fiber_table),
-    ("two-branch-points-rational", _golden_two_branch_points),
-    ("four-branch-points-k3", _golden_four_branch_points),
-    ("rational-exception", _golden_rational_exception),
-    ("kummer-not-ordinary", _golden_kummer_not_ordinary),
-    ("trivial-rotation-product", _golden_trivial_rotation),
-    ("hasse-invariant-values", _golden_hasse_values),
-    ("order-four-divisor", _golden_order_four_divisor),
-    ("order-four-star-divisor", _golden_order_four_star_divisor),
-    ("order-six-degrees", _golden_order_six_degrees),
-)
+def _golden_mismatch(cases) -> str | None:
+    """First payload field of the cases that differs from its expectation, or None."""
+    for document, overrides, expected in cases:
+        spec = parse_spec_document(document)
+        for command, fields in expected.items():
+            if command == "invariants":
+                payload = invariants_payload(spec)
+            else:
+                payload = decide_payload(spec, overrides)
+            for field, want in fields.items():
+                if payload[field] != want:
+                    return f"{command} {field} = {payload[field]!r}, expected {want!r}"
+    return None
 
 
 def cmd_verify_examples(args) -> int:
     failures = 0
-    for name, fn in GOLDEN_SUITE:
+    for name, detail, cases in GOLDEN_SUITE:
         try:
-            detail = fn()
-        except AssertionError as exc:
-            failures += 1
-            print(f"FAIL {name}: {exc}")
-        else:
+            mismatch = _golden_mismatch(cases)
+        except Exception as exc:  # any failure of a golden case is reported, not raised
+            mismatch = f"{type(exc).__name__}: {exc}"
+        if mismatch is None:
             print(f"PASS {name}: {detail}")
+        else:
+            failures += 1
+            print(f"FAIL {name}: {mismatch}")
     print(f"{len(GOLDEN_SUITE) - failures}/{len(GOLDEN_SUITE)} examples verified")
     return EXIT_OK if failures == 0 else EXIT_VALIDATION
 

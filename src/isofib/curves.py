@@ -119,7 +119,8 @@ def j_invariant_and_aut(curve: EllipticCurveW) -> tuple[int, int]:
     return j, 2
 
 
-def _check_closed_form_bound(f: FpPolynomial) -> None:
+def check_closed_form_bound(f: FpPolynomial) -> None:
+    """Refuse (OracleBoundError) a power f^((p-1)/2) beyond CLOSED_FORM_MAX_DEGREE."""
     degree = f.degree() * (f.field.p - 1) // 2
     if degree > CLOSED_FORM_MAX_DEGREE:
         raise OracleBoundError(
@@ -132,7 +133,7 @@ def hasse_invariant(curve: EllipticCurveW) -> int:
     """Coefficient of x^(p-1) in (x^3 + ax + b)^((p-1)/2); zero iff supersingular."""
     p = curve.field.p
     f = curve.rhs_poly()
-    _check_closed_form_bound(f)
+    check_closed_form_bound(f)
     return poly_pow_coeff(f, (p - 1) // 2, p - 1)
 
 
@@ -164,7 +165,7 @@ def cartier_manin(model: HyperellipticModel) -> FpMatrix:
     """
     g = model.genus
     p = model.field.p
-    _check_closed_form_bound(model.f)
+    check_closed_form_bound(model.f)
     powered = model.f ** ((p - 1) // 2)
     entries = [[powered.coeff(p * i - j) for j in range(1, g + 1)] for i in range(1, g + 1)]
     return FpMatrix(model.field, entries)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from math import gcd
 
 from .curves import EllipticCurveW, j_invariant_and_aut
 from .ffpoly import FpPolynomial, PrimeField
@@ -295,20 +296,28 @@ def _euler_closed_form(rotation: Rotation, r: RamificationData) -> int:
     return 2 * r.a6p + 10 * r.a6m + 4 * r.a3p + 8 * r.a3m + 6 * r.a2
 
 
-def _raw_genus_d_prime_twice(spec: FibrationSpec) -> int:
-    """2*g(D') - 2 by Riemann-Hurwitz for the degree-n cyclic cover D'/C."""
-    n = spec.rotation.order
+def _riemann_hurwitz(spec: FibrationSpec, h: int) -> int:
+    """2g - 2 of D'/H for the subgroup H of order h of the rotation group.
+
+    D'/H is the cyclic cover of C of degree m = n/h; over a branch point of
+    index e it has m/e' points of index e' = e / gcd(e, h).  h = 1 gives D'
+    itself, h = 2 the intermediate double cover D'' (order 4) or triple
+    cover D''' (order 6), h = 3 the intermediate double cover of order 6.
+    """
+    m = spec.rotation.order // h
     r = spec.ram
-    ram_sum = 0
-    for count, e in (
-        (r.a2, 2),
-        (r.a3p + r.a3m, 3),
-        (r.a4p + r.a4m, 4),
-        (r.a6p + r.a6m, 6),
-    ):
-        if count:
-            ram_sum += count * (n // e) * (e - 1)
-    return n * (2 * spec.genus_base - 2) + ram_sum
+    total = m * (2 * spec.genus_base - 2)
+    for e, count in ((2, r.a2), (3, r.a3p + r.a3m), (4, r.a4p + r.a4m), (6, r.a6p + r.a6m)):
+        e_h = e // gcd(e, h)
+        total += count * (m // e_h) * (e_h - 1)
+    return total
+
+
+# (h, name) of the intermediate covers D'/H whose genus must be nonnegative
+_INTERMEDIATE_COVERS = {
+    Rotation.C4: ((2, "double"),),
+    Rotation.C6: ((2, "triple"), (3, "double")),
+}
 
 
 def validate_spec(spec: FibrationSpec) -> list[str]:
@@ -318,7 +327,8 @@ def validate_spec(spec: FibrationSpec) -> list[str]:
     shape is legal for R; every character line bundle has integral degree
     (the cyclic-cover existence condition); the cover tower has nonnegative
     genera; explicit models, when present, are compatible (forced j-invariant,
-    squarefree branch locus whose point count matches a2).
+    squarefree branch locus over the projective line whose point count
+    matches a2).
     """
     violations: list[str] = []
     r = spec.ram
@@ -343,7 +353,7 @@ def validate_spec(spec: FibrationSpec) -> list[str]:
             violations.append(f"{formula} = -{num}/{den} is not an integer")
 
     if not violations:
-        twice = _raw_genus_d_prime_twice(spec)
+        twice = _riemann_hurwitz(spec, 1)
         if twice % 2 != 0:
             violations.append(f"Riemann-Hurwitz gives 2g-2 = {twice} for D', which is odd")
         elif twice < -2:
@@ -351,14 +361,10 @@ def validate_spec(spec: FibrationSpec) -> list[str]:
                 f"Riemann-Hurwitz gives genus {(twice + 2) // 2} < 0 for D': "
                 "no such cover exists"
             )
-        elif spec.rotation is Rotation.C4:
-            if 2 * (2 * spec.genus_base - 2) + r.a4p + r.a4m < -2:
-                violations.append("intermediate double cover would have negative genus")
-        elif spec.rotation is Rotation.C6:
-            if 3 * (2 * spec.genus_base - 2) + 2 * (r.a6p + r.a6m + r.a3p + r.a3m) < -2:
-                violations.append("intermediate triple cover would have negative genus")
-            if 2 * (2 * spec.genus_base - 2) + r.a2 + r.a6p + r.a6m < -2:
-                violations.append("intermediate double cover would have negative genus")
+        else:
+            for h, name in _INTERMEDIATE_COVERS.get(spec.rotation, ()):
+                if _riemann_hurwitz(spec, h) < -2:
+                    violations.append(f"intermediate {name} cover would have negative genus")
 
     if spec.e_model is not None:
         if spec.e_model.field != spec.field:
@@ -377,6 +383,11 @@ def validate_spec(spec: FibrationSpec) -> list[str]:
     if spec.branch_poly is not None:
         if spec.rotation is not Rotation.C2:
             violations.append("an explicit branch polynomial only describes the order-2 chain")
+        elif spec.genus_base != 0:
+            violations.append(
+                "an explicit branch polynomial describes a double cover of the projective "
+                "line: genus_base must be 0"
+            )
         elif spec.branch_poly.field != spec.field:
             violations.append("branch polynomial lives over a different prime field")
         elif spec.branch_poly.degree() < 1:
@@ -401,15 +412,11 @@ def genus_cover_tower(spec: FibrationSpec) -> tuple[int, int | None, int | None]
     double cover (rotation order 4), the last the intermediate triple cover
     (rotation order 6); absent entries are None.
     """
-    g_prime = (_raw_genus_d_prime_twice(spec) + 2) // 2
-    r = spec.ram
-    g2 = spec.genus_base
+    g_prime = _riemann_hurwitz(spec, 1) // 2 + 1
     if spec.rotation is Rotation.C4:
-        g_double = (2 * (2 * g2 - 2) + (r.a4p + r.a4m) + 2) // 2
-        return g_prime, g_double, None
+        return g_prime, _riemann_hurwitz(spec, 2) // 2 + 1, None
     if spec.rotation is Rotation.C6:
-        g_triple = (3 * (2 * g2 - 2) + 2 * (r.a6p + r.a6m + r.a3p + r.a3m) + 2) // 2
-        return g_prime, None, g_triple
+        return g_prime, None, _riemann_hurwitz(spec, 2) // 2 + 1
     return g_prime, None, None
 
 

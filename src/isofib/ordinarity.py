@@ -28,7 +28,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .curves import EllipticCurveW, HyperellipticModel, hasse_invariant, p_rank_hyperelliptic
+from .curves import (
+    EllipticCurveW,
+    HyperellipticModel,
+    check_closed_form_bound,
+    hasse_invariant,
+    p_rank_hyperelliptic,
+)
 from .ffpoly import FpMatrix, FpPolynomial
 from .fibration import (
     FiberClass,
@@ -124,9 +130,10 @@ class OrdinarityVerdict:
 
 @dataclass(frozen=True)
 class HasseDivisor:
-    """Frobenius-cokernel multiplicities, one entry per non-multiple singular fiber."""
+    """Frobenius-cokernel multiplicities as (FiberClass, multiplicity, count)
+    for each singular-fiber class that occurs, in RAM_KEYS order."""
 
-    entries: tuple[tuple[FiberClass, int], ...]
+    entries: tuple[tuple[FiberClass, int, int], ...]
     total_degree: int
 
 
@@ -385,8 +392,8 @@ def hasse_divisor(spec: FibrationSpec, report: CurveOrdinarityReport) -> HasseDi
                 f"non-integral multiplicity {raw}/12 for a {fc.kodaira_type.value} fiber: "
                 f"no ordinary fiber model exists at p = {p} for this rotation class"
             )
-        entries += [(fc, raw // 12)] * count
-    total = sum(mult for _, mult in entries)
+        entries.append((fc, raw // 12, count))
+    total = sum(mult * count for _, mult, count in entries)
     if total != inv.d * (p - 1):
         raise AssertionError(
             f"Hasse divisor degree {total} != d(p-1) = {inv.d * (p - 1)}"
@@ -402,8 +409,10 @@ def hasse_poly_z2(curve: EllipticCurveW, branch: FpPolynomial) -> FpPolynomial:
     the base point.  A supersingular E returns the zero polynomial, which is
     exactly the signal that the relative Frobenius vanishes on the
     pushforward; root multiplicities at finite branch points otherwise
-    reproduce the divisor multiplicities.
+    reproduce the divisor multiplicities.  A power beyond the closed-form
+    degree bound raises ``OracleBoundError`` before any other work.
     """
+    check_closed_form_bound(branch)
     if curve.field != branch.field:
         raise ValueError("curve and branch polynomial over different fields")
     if not branch.is_squarefree():

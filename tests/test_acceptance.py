@@ -96,15 +96,16 @@ def test_acceptance_03_order_four_divisor_configurations():
     assert inv.euler_total == 12
     div = hasse_divisor(spec, build_report(spec, {"E": "ordinary"}))
     assert div.total_degree == 12  # p - 1
-    assert sorted(m for _, m in div.entries) == [3, 3, 6]
+    assert sorted(m for _, m, count in div.entries for _ in range(count)) == [3, 3, 6]
 
     star = make_spec(Rotation.C4, p=13, a4m=2, a4p=0, a2=1)
     inv = surface_invariants(star)
     assert inv.euler_total == 24
     div = hasse_divisor(star, build_report(star, {"E": "ordinary"}))
     assert div.total_degree == 24  # 2(p - 1)
-    star_mults = [m for fc, m in div.entries if fc.kodaira_type is KodairaType.IIISTAR]
-    assert star_mults == [9, 9]  # 3(p-1)/4
+    star_mults = [(m, count) for fc, m, count in div.entries
+                  if fc.kodaira_type is KodairaType.IIISTAR]
+    assert star_mults == [(9, 2)]  # two III* fibers of multiplicity 3(p-1)/4
     _passed(3, "order-4 configs at p=13: degrees p-1 and 2(p-1), multiplicities {3,3,6} and III*=9")
 
 

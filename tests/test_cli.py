@@ -5,6 +5,7 @@ from time import perf_counter
 
 import pytest
 
+from isofib import cli
 from isofib.cli import (
     EXIT_OK,
     EXIT_ORACLE_BOUND,
@@ -81,6 +82,14 @@ def test_document_errors_are_field_anchored():
     assert "R:" in text
     assert "ram.a2" in text
     assert "ram.bogus" in text
+
+
+def test_document_with_a_list_for_rotation_is_a_parse_error(tmp_path, capsys):
+    code = main(["invariants", write_spec(tmp_path, {"p": 5, "R": [1], "ram": {}})])
+    assert code == EXIT_PARSE
+    assert "R: expected one of ['C2', 'C3', 'C4', 'C6', 'trivial'], got [1]" in (
+        capsys.readouterr().err
+    )
 
 
 def test_invariants_command_text(tmp_path, capsys):
@@ -198,6 +207,42 @@ def test_decide_rejects_ordinary_override_against_deuring(tmp_path, capsys):
     assert captured.out == ""  # rejected before any verdict is computed
     assert "Deuring's congruence" in captured.err
     assert "non-integral" not in captured.err
+
+
+def test_branch_polynomial_over_a_positive_genus_base_is_rejected(tmp_path, capsys):
+    doc = {"p": 7, "R": "C2", "genus_base": 1, "ram": {"a2": 4}, "branch": [1, 0, 0, 0, 1]}
+    path = write_spec(tmp_path, doc)
+    for argv in (["invariants", path], ["decide", path, "--set", "E=ordinary", "--set", "C=1"]):
+        assert main(argv) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "invalid fibration data:\n"
+            "  - an explicit branch polynomial describes a double cover of the projective "
+            "line: genus_base must be 0\n"
+        )
+
+
+def test_decide_refuses_divisor_listing_beyond_bound(tmp_path, capsys):
+    path = write_spec(tmp_path, {"p": 13, "R": "C2", "ram": {"a2": 1000000}})
+    start = perf_counter()
+    code = main(["decide", path, "--set", "E=ordinary", "--set", "Dp=ordinary"])
+    assert perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert code == EXIT_ORACLE_BOUND
+    assert captured.out == ""
+    assert "divisor listing refused: 1000000 singular fibers exceed bound 100000" in captured.err
+
+
+def test_divisor_listing_bound_is_inclusive(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "DIVISOR_LISTING_MAX", 4)
+    sets = ["--set", "E=ordinary", "--set", "Dp=ordinary", "--format", "json"]
+    at_bound = write_spec(tmp_path, {"p": 13, "R": "C2", "ram": {"a2": 4}}, name="four.json")
+    assert main(["decide", at_bound, *sets]) == EXIT_OK
+    entries = json.loads(capsys.readouterr().out)["hasse_divisor"]["entries"]
+    assert entries == [{"type": "I0*", "multiplicity": 6}] * 4
+    beyond = write_spec(tmp_path, {"p": 13, "R": "C2", "ram": {"a2": 6}}, name="six.json")
+    assert main(["decide", beyond, *sets]) == EXIT_ORACLE_BOUND
 
 
 def test_invariants_accepts_large_prime(tmp_path, capsys):

@@ -177,6 +177,28 @@ def test_validate_branch_poly_rules():
     assert any("order-2 chain" in v for v in wrong_rotation)
 
 
+def test_validate_branch_poly_needs_a_rational_base():
+    # the quartic marks the four branch points of a double cover of P^1, not of a genus-1 C
+    assert violations_of(Rotation.C2, p=7, genus_base=1, a2=4, branch=[1, 0, 0, 0, 1]) == [
+        "an explicit branch polynomial describes a double cover of the projective line: "
+        "genus_base must be 0"
+    ]
+    assert violations_of(Rotation.C2, p=7, genus_base=0, a2=4, branch=[1, 0, 0, 0, 1]) == []
+
+
+def test_validate_intermediate_covers_need_nonnegative_genus():
+    # each D' below has genus >= 0, but its quotient by a subgroup of R would not
+    assert violations_of(Rotation.C4, a2=4) == [
+        "intermediate double cover would have negative genus"
+    ]
+    assert violations_of(Rotation.C6, p=7, a2=6) == [
+        "intermediate triple cover would have negative genus"
+    ]
+    assert violations_of(Rotation.C6, p=7, a3p=2, a3m=2) == [
+        "intermediate double cover would have negative genus"
+    ]
+
+
 def test_validate_j_invariant_compatibility():
     f13 = PrimeField(13)
     j0 = EllipticCurveW(f13, 0, 1)
@@ -225,6 +247,21 @@ def test_tower_order_six():
 def test_tower_trivial_rotation():
     spec = make_spec(Rotation.TRIVIAL, genus_base=2)
     assert genus_cover_tower(spec) == (2, None, None)
+
+
+def test_tower_matches_riemann_hurwitz_written_out_per_cover():
+    rng = random.Random(2718)
+    for _ in range(400):
+        spec = random_valid_spec(rng)
+        r, n, base = spec.ram, spec.rotation.order, 2 * spec.genus_base - 2
+        a3, a4, a6 = r.a3p + r.a3m, r.a4p + r.a4m, r.a6p + r.a6m
+        twice = n * base + r.a2 * (n // 2) + a3 * (n // 3) * 2 + a4 * (n // 4) * 3 + a6 * 5
+        expected = [twice // 2 + 1, None, None]
+        if spec.rotation is Rotation.C4:
+            expected[1] = (2 * base + a4) // 2 + 1
+        if spec.rotation is Rotation.C6:
+            expected[2] = (3 * base + 2 * (a6 + a3)) // 2 + 1
+        assert genus_cover_tower(spec) == tuple(expected), spec
 
 
 # --- line bundle degrees ----------------------------------------------------

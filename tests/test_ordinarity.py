@@ -1,18 +1,20 @@
 """Ordinarity verdicts, the Hasse divisor, and the top-cohomology Frobenius matrix."""
 
 import random
+from time import perf_counter
 
 import pytest
 
 from isofib.curves import (
     EllipticCurveW,
     HyperellipticModel,
+    OracleBoundError,
     cartier_manin,
     hasse_invariant,
     point_count_oracle,
 )
 from isofib.ffpoly import FpPolynomial, PrimeField, matrix_rank_det
-from isofib.fibration import KodairaType, Rotation, surface_invariants
+from isofib.fibration import KodairaType, Rotation, singular_fibers, surface_invariants
 from isofib.ordinarity import (
     CLAUSE_H_VANISHING,
     CLAUSE_ORDER_2,
@@ -204,20 +206,27 @@ def test_supersingular_fiber_forces_nonordinary_randomized():
 def test_hasse_divisor_two_fibers():
     spec = make_spec(Rotation.C2, p=5, a2=2)
     div = hasse_divisor(spec, build_report(spec, {"E": "ordinary"}))
-    assert [m for _, m in div.entries] == [2, 2]
+    assert [(fc.kodaira_type, m, count) for fc, m, count in div.entries] == [
+        (KodairaType.I0STAR, 2, 2)
+    ]
     assert div.total_degree == 4
 
 
 def test_hasse_divisor_order_four_configurations():
     spec = make_spec(Rotation.C4, p=13, a4p=2, a4m=0, a2=1)
     div = hasse_divisor(spec, build_report(spec, {"E": "ordinary"}))
-    mults = sorted(m for _, m in div.entries)
-    assert mults == [3, 3, 6]
+    # one (class, multiplicity, count) triple per class, in RAM_KEYS order (a2 before a4p)
+    assert [(fc.kodaira_type, m, count) for fc, m, count in div.entries] == [
+        (KodairaType.I0STAR, 6, 1),
+        (KodairaType.III, 3, 2),
+    ]
     assert div.total_degree == 12  # d = 1
     star = make_spec(Rotation.C4, p=13, a4m=2, a4p=0, a2=1)
     div = hasse_divisor(star, build_report(star, {"E": "ordinary"}))
-    by_type = {fc.kodaira_type: m for fc, m in div.entries}
-    assert by_type[KodairaType.IIISTAR] == 9
+    assert [(fc.kodaira_type, m, count) for fc, m, count in div.entries] == [
+        (KodairaType.I0STAR, 6, 1),
+        (KodairaType.IIISTAR, 9, 2),
+    ]
     assert div.total_degree == 24  # d = 2
 
 
@@ -243,7 +252,8 @@ def test_hasse_divisor_degree_law_randomized():
         div = hasse_divisor(spec, report)
         inv = surface_invariants(spec)
         assert div.total_degree == inv.d * (p - 1)
-        assert sum(m for _, m in div.entries) == div.total_degree
+        assert sum(m * count for _, m, count in div.entries) == div.total_degree
+        assert [(fc, count) for fc, _, count in div.entries] == list(singular_fibers(spec))
 
 
 def test_hasse_multiplicity_integrality_exhaustive():
@@ -298,6 +308,15 @@ def test_hasse_poly_z2_rejects_non_squarefree():
     e = EllipticCurveW(F5, 1, 1)
     with pytest.raises(ValueError, match="squarefree"):
         hasse_poly_z2(e, FpPolynomial(F5, [0, 0, 1]))
+
+
+def test_hasse_poly_z2_refuses_beyond_closed_form_bound():
+    field = PrimeField(40009)
+    branch = FpPolynomial(field, [1, 2, 3, 4, 5, 6, 7, 8, 1])  # 8 * (40009 - 1) / 2 = 160032
+    start = perf_counter()
+    with pytest.raises(OracleBoundError, match="degree 160032"):
+        hasse_poly_z2(EllipticCurveW(field, 1, 1), branch)
+    assert perf_counter() - start < 1.0
 
 
 def test_hasse_poly_degree_matches_divisor_degree():
