@@ -34,9 +34,6 @@ from .fibration import (
     Rotation,
     TranslationClass,
     ValidationError,
-    genus_cover_tower,
-    singular_fibers,
-    surface_invariants,
 )
 from .ordinarity import (
     CURVE_NAMES,
@@ -73,16 +70,49 @@ class SpecDocumentError(Exception):
         super().__init__("; ".join(self.errors))
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _want_int(doc, key, errors, minimum=None, path=""):
     label = f"{path}{key}"
     value = doc.get(key)
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not _is_int(value):
         errors.append(f"{label}: expected an integer, got {value!r}")
         return None
     if minimum is not None and value < minimum:
         errors.append(f"{label}: must be >= {minimum}, got {value}")
         return None
     return value
+
+
+def _read_document(path: str):
+    """The JSON value in the file at path; a syntax error becomes path:line:col: msg."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            return json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise SpecDocumentError([f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}"]) from None
+
+
+def _want_curve(e_raw, errors) -> tuple[int, int] | None:
+    """The integers (a, b) of an ``E`` object, or None after recording its errors."""
+    if not isinstance(e_raw, dict) or set(e_raw) != {"a", "b"}:
+        errors.append(f"E: expected an object with fields a, b, got {e_raw!r}")
+        return None
+    a = _want_int(e_raw, "a", errors, path="E.")
+    b = _want_int(e_raw, "b", errors, path="E.")
+    if a is None or b is None:
+        return None
+    return a, b
+
+
+def _want_branch(branch, errors) -> list[int] | None:
+    """The integer coefficient list of a ``branch`` field, or None after recording an error."""
+    if not isinstance(branch, list) or not all(_is_int(v) for v in branch):
+        errors.append(f"branch: expected a list of integers, got {branch!r}")
+        return None
+    return branch
 
 
 def parse_spec_document(doc) -> FibrationSpec:
@@ -105,11 +135,7 @@ def parse_spec_document(doc) -> FibrationSpec:
 
     t_raw = doc.get("T", [1, 1])
     translation = None
-    if (
-        not isinstance(t_raw, list)
-        or len(t_raw) != 2
-        or not all(isinstance(v, int) and not isinstance(v, bool) for v in t_raw)
-    ):
+    if not isinstance(t_raw, list) or len(t_raw) != 2 or not all(_is_int(v) for v in t_raw):
         errors.append(f"T: expected a pair of integers, got {t_raw!r}")
     else:
         try:
@@ -149,27 +175,18 @@ def parse_spec_document(doc) -> FibrationSpec:
 
     e_model = None
     if "E" in doc:
-        e_raw = doc["E"]
-        if not isinstance(e_raw, dict) or set(e_raw) != {"a", "b"}:
-            errors.append(f"E: expected an object with fields a, b, got {e_raw!r}")
-        else:
-            a = _want_int(e_raw, "a", errors, path="E.")
-            b = _want_int(e_raw, "b", errors, path="E.")
-            if field is not None and a is not None and b is not None:
-                try:
-                    e_model = EllipticCurveW(field, a, b)
-                except ValueError as exc:
-                    errors.append(f"E: {exc}")
+        curve = _want_curve(doc["E"], errors)
+        if field is not None and curve is not None:
+            try:
+                e_model = EllipticCurveW(field, *curve)
+            except ValueError as exc:
+                errors.append(f"E: {exc}")
 
     branch_poly = None
     if "branch" in doc:
-        br = doc["branch"]
-        if not isinstance(br, list) or not all(
-            isinstance(v, int) and not isinstance(v, bool) for v in br
-        ):
-            errors.append(f"branch: expected a list of integers, got {br!r}")
-        elif field is not None:
-            branch_poly = FpPolynomial(field, br)
+        branch = _want_branch(doc["branch"], errors)
+        if field is not None and branch is not None:
+            branch_poly = FpPolynomial(field, branch)
 
     if errors:
         raise SpecDocumentError(errors)
@@ -201,12 +218,7 @@ def spec_to_document(spec: FibrationSpec) -> dict:
 
 
 def load_spec(path: str) -> FibrationSpec:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise SpecDocumentError([f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}"]) from None
-    return parse_spec_document(doc)
+    return parse_spec_document(_read_document(path))
 
 
 def _print_validation_failure(violations: list[str]) -> None:
@@ -222,8 +234,7 @@ def _print_json(payload: dict) -> int:
 
 def invariants_payload(spec: FibrationSpec) -> dict:
     """Numerical invariants, singular fibers and cover tower of a valid spec."""
-    inv = surface_invariants(spec)
-    tower = genus_cover_tower(spec)
+    inv = spec.invariants
     return {
         "spec": spec_to_document(spec),
         "deg_L": list(inv.deg_l),
@@ -236,9 +247,9 @@ def invariants_payload(spec: FibrationSpec) -> dict:
         "k3_candidate": inv.k3_candidate,
         "fibers": [
             {"type": fc.kodaira_type.value, "count": count, "euler": fc.euler}
-            for fc, count in singular_fibers(spec)
+            for fc, count in inv.fibers
         ],
-        "tower": {"Dp": tower[0], "Dpp": tower[1], "Dppp": tower[2]},
+        "tower": {"Dp": inv.tower[0], "Dpp": inv.tower[1], "Dppp": inv.tower[2]},
     }
 
 
@@ -470,36 +481,24 @@ def _primes_up_to(n: int) -> list[int]:
 
 
 def load_scan_document(path: str) -> tuple[EllipticCurveQ, list[int] | None]:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise SpecDocumentError([f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}"]) from None
+    doc = _read_document(path)
     errors: list[str] = []
     if not isinstance(doc, dict):
         raise SpecDocumentError(["document: expected a JSON object"])
     for key in doc:
         if key not in {"E", "branch"}:
             errors.append(f"{key}: unknown field")
-    e_raw = doc.get("E")
     curve = None
-    if not isinstance(e_raw, dict) or set(e_raw) != {"a", "b"}:
-        errors.append(f"E: expected an object with fields a, b, got {e_raw!r}")
-    else:
-        a = _want_int(e_raw, "a", errors, path="E.")
-        b = _want_int(e_raw, "b", errors, path="E.")
-        if a is not None and b is not None:
-            try:
-                curve = EllipticCurveQ(a, b)
-            except ValueError as exc:
-                errors.append(f"E: {exc}")
+    coefficients = _want_curve(doc.get("E"), errors)
+    if coefficients is not None:
+        try:
+            curve = EllipticCurveQ(*coefficients)
+        except ValueError as exc:
+            errors.append(f"E: {exc}")
     branch = doc.get("branch")
     if branch is not None:
-        if not isinstance(branch, list) or not all(
-            isinstance(v, int) and not isinstance(v, bool) for v in branch
-        ):
-            errors.append(f"branch: expected a list of integers, got {branch!r}")
-        else:
+        branch = _want_branch(branch, errors)
+        if branch is not None:
             while branch and branch[-1] == 0:
                 branch = branch[:-1]
             if len(branch) < 2:

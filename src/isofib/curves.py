@@ -179,10 +179,6 @@ def p_rank_hyperelliptic(model: HyperellipticModel) -> int:
     return rank
 
 
-def is_ordinary_hyperelliptic(model: HyperellipticModel) -> bool:
-    return p_rank_hyperelliptic(model) == model.genus
-
-
 def _affine_count_prime(model: HyperellipticModel) -> int:
     field = model.field
     count = 0

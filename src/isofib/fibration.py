@@ -20,6 +20,7 @@ degrees determine chi(O_X), the Euler number and the cohomology dimensions.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 from dataclasses import dataclass
 from math import gcd
@@ -104,6 +105,9 @@ class RamificationData:
         return self.a2 + self.a3p + self.a3m + self.a4p + self.a4m + self.a6p + self.a6m
 
 
+# the j-invariant of E that a rotation of order 3, 4 or 6 forces
+FORCED_J = {Rotation.C3: 0, Rotation.C4: 1728, Rotation.C6: 0}
+
 # which count fields each rotation class may use
 _ALLOWED_COUNTS = {
     Rotation.TRIVIAL: frozenset(),
@@ -119,7 +123,9 @@ class FibrationSpec:
     """Quotient data of an isotrivial elliptic fibration over GF(p).
 
     Construction runs ``validate_spec`` and raises ``ValidationError`` with
-    every violation, so a spec that exists is valid.
+    every violation, so a spec that exists is valid.  A valid spec then
+    derives its ``invariants`` (tower and fibers included) once; every
+    consumer reads them from there.
     """
 
     rotation: Rotation
@@ -129,6 +135,7 @@ class FibrationSpec:
     field: PrimeField
     e_model: EllipticCurveW | None = None
     branch_poly: FpPolynomial | None = None
+    invariants: SurfaceInvariants = dataclasses.field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.genus_base < 0:
@@ -136,6 +143,7 @@ class FibrationSpec:
         violations = validate_spec(self)
         if violations:
             raise ValidationError(violations)
+        object.__setattr__(self, "invariants", surface_invariants(self))
 
     @property
     def group_order(self) -> int:
@@ -196,7 +204,7 @@ _FIBER_TABLE = {
         KodairaType.III,
         3,
         ("A4,1", "A4,1", "A1"),
-        ((-1, 1, 1, 1), (1, -4, 0, 0), (1, 0, -2, 0), (1, 0, 0, -4)),
+        ((-1, 1, 1, 1), (1, -4, 0, 0), (1, 0, -4, 0), (1, 0, 0, -2)),
         2,
     ),
     (4, -1): FiberClass(KodairaType.IIISTAR, 9, ("A1", "A3", "A3"), None, 0),
@@ -369,15 +377,12 @@ def validate_spec(spec: FibrationSpec) -> list[str]:
     if spec.e_model is not None:
         if spec.e_model.field != spec.field:
             violations.append("fiber model lives over a different prime field")
-        else:
+        elif spec.rotation in FORCED_J:
+            forced = FORCED_J[spec.rotation]
             j, _ = j_invariant_and_aut(spec.e_model)
-            if spec.rotation in (Rotation.C3, Rotation.C6) and j != 0:
+            if j != spec.field.reduce(forced):
                 violations.append(
-                    f"rotation of order {n} needs j(E) = 0, model has j = {j}"
-                )
-            if spec.rotation is Rotation.C4 and j != spec.field.reduce(1728):
-                violations.append(
-                    f"rotation of order 4 needs j(E) = 1728, model has j = {j}"
+                    f"rotation of order {n} needs j(E) = {forced}, model has j = {j}"
                 )
 
     if spec.branch_poly is not None:
@@ -427,7 +432,8 @@ def line_bundle_degrees(spec: FibrationSpec) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class SurfaceInvariants:
-    """Numerical invariants of the minimal model X."""
+    """Numerical invariants of the minimal model X, with the cover tower and
+    the counted singular fibers they are derived from."""
 
     deg_l: tuple[int, ...]
     chi: int
@@ -437,10 +443,13 @@ class SurfaceInvariants:
     d: int  # -deg R^1 pi_* O_X
     rational: bool
     k3_candidate: bool
+    tower: tuple[int, int | None, int | None]  # as genus_cover_tower returns it
+    fibers: tuple[tuple[FiberClass, int], ...]  # as singular_fibers returns them
 
 
 def surface_invariants(spec: FibrationSpec) -> SurfaceInvariants:
-    """chi, Euler number, cohomology dimensions and classification flags.
+    """chi, Euler number, cohomology dimensions, classification flags, cover
+    tower and singular fibers.
 
     The Euler number is computed both from the closed form in the branch
     counts and as the sum over the classified singular fibers; the two must
@@ -448,11 +457,12 @@ def surface_invariants(spec: FibrationSpec) -> SurfaceInvariants:
     relatively minimal model).
     """
     deg_l = line_bundle_degrees(spec)
+    fibers = singular_fibers(spec)
     trivial = spec.rotation is Rotation.TRIVIAL
     g2 = spec.genus_base
 
     euler_closed = _euler_closed_form(spec.rotation, spec.ram)
-    euler_fibers = sum(count * fc.euler for fc, count in singular_fibers(spec))
+    euler_fibers = sum(count * fc.euler for fc, count in fibers)
     if euler_closed != euler_fibers:
         raise AssertionError(
             f"Euler number mismatch: closed form {euler_closed}, fiber sum {euler_fibers}"
@@ -481,4 +491,6 @@ def surface_invariants(spec: FibrationSpec) -> SurfaceInvariants:
         d=d,
         rational=(g2 == 0 and d == 1),
         k3_candidate=(g2 == 0 and d == 2),
+        tower=genus_cover_tower(spec),
+        fibers=fibers,
     )

@@ -36,14 +36,7 @@ from .curves import (
     p_rank_hyperelliptic,
 )
 from .ffpoly import FpMatrix, FpPolynomial
-from .fibration import (
-    FiberClass,
-    FibrationSpec,
-    Rotation,
-    genus_cover_tower,
-    singular_fibers,
-    surface_invariants,
-)
+from .fibration import FORCED_J, FiberClass, FibrationSpec, Rotation
 
 SCOPE_SINGLE = "single_X"
 SCOPE_PAIR = "pair_X_Xprime"
@@ -60,9 +53,6 @@ COMPUTED = "computed-from-model"
 SUPPLIED = "supplied"
 
 CURVE_NAMES = ("E", "C", "Dp", "Dpp", "Dppp")
-
-# Deuring: the fiber forced by R (j = 0 or 1728) is ordinary only for p = 1 mod this
-_DEURING_MODULUS = {Rotation.C3: 3, Rotation.C4: 4, Rotation.C6: 3}
 
 
 class MissingReportDataError(Exception):
@@ -137,12 +127,6 @@ class HasseDivisor:
     total_degree: int
 
 
-def _flag(entry: CurveReportEntry | None) -> bool | None:
-    if entry is None:
-        return None
-    return entry.ordinary
-
-
 def _parse_override(value) -> tuple[int | None, bool | None]:
     """Normalize an override to (p_rank, ordinary)."""
     if isinstance(value, bool):
@@ -173,7 +157,7 @@ def build_report(spec: FibrationSpec, overrides: dict | None = None) -> CurveOrd
     so is an ordinary E that Deuring's congruence rules out for the rotation.
     """
     overrides = dict(overrides or {})
-    g_prime, g_double, g_triple = genus_cover_tower(spec)
+    g_prime, g_double, g_triple = spec.invariants.tower
     entries: dict[str, CurveReportEntry | None] = {n: None for n in CURVE_NAMES}
 
     if spec.e_model is not None:
@@ -217,12 +201,13 @@ def build_report(spec: FibrationSpec, overrides: dict | None = None) -> CurveOrd
         p_rank, flag = _parse_override(value)
         supplied = CurveReportEntry(genus, p_rank, flag, SUPPLIED)
         computed = entries[name]
-        if name == "E" and computed is None and supplied.ordinary:
-            modulus = _DEURING_MODULUS.get(spec.rotation)
-            if modulus and spec.field.p % modulus != 1:
+        if name == "E" and computed is None and supplied.ordinary and spec.rotation in FORCED_J:
+            j = FORCED_J[spec.rotation]
+            modulus = 3 if j == 0 else 4  # Deuring: j = 0 (1728) is ordinary iff p = 1 mod 3 (4)
+            if spec.field.p % modulus != 1:
                 raise ValueError(
                     f"supplied E=ordinary contradicts Deuring's congruence: rotation of "
-                    f"order {spec.rotation.order} forces j(E) = {1728 if modulus == 4 else 0}, "
+                    f"order {spec.rotation.order} forces j(E) = {j}, "
                     f"which is ordinary only for p = 1 mod {modulus}, not p = {spec.field.p}"
                 )
         if computed is not None:
@@ -269,7 +254,7 @@ def decide(spec: FibrationSpec, report: CurveOrdinarityReport) -> OrdinarityVerd
     intermediate double cover.  Requirements are evaluated lazily: a clause
     that already fails on its E or C conjunct does not demand tower p-ranks.
     """
-    inv = surface_invariants(spec)
+    inv = spec.invariants
     rot = spec.rotation
     reasons: list[str] = []
 
@@ -356,7 +341,7 @@ def check_supersingular_corollary(
         return None
     if not verdict.ordinary:
         return None
-    inv = surface_invariants(spec)
+    inv = spec.invariants
     if spec.genus_base == 0 and inv.d == 1:
         return None
     return (
@@ -383,9 +368,9 @@ def hasse_divisor(spec: FibrationSpec, report: CurveOrdinarityReport) -> HasseDi
             "zero on the pushforward and the cokernel is not a divisor"
         )
     p = spec.field.p
-    inv = surface_invariants(spec)
+    inv = spec.invariants
     entries = []
-    for fc, count in singular_fibers(spec):
+    for fc, count in inv.fibers:
         raw = (p - 1) * fc.euler
         if raw % 12 != 0:
             raise ValueError(

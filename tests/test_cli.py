@@ -253,12 +253,22 @@ def test_invariants_accepts_large_prime(tmp_path, capsys):
 
 
 def test_each_command_validates_the_spec_once(tmp_path, monkeypatch, capsys):
-    calls = count_calls(monkeypatch, "fibration", "validate_spec")
-    path = write_spec(tmp_path, EXAMPLE_K3)
-    assert main(["decide", path, "--set", "E=ordinary", "--set", "Dp=1"]) == EXIT_OK
-    assert calls[None] == 1
-    assert main(["invariants", path, "--format", "json"]) == EXIT_OK
-    assert calls[None] == 2
+    names = ("validate_spec", "surface_invariants", "genus_cover_tower", "singular_fibers")
+    calls = {name: count_calls(monkeypatch, "fibration", name) for name in names}
+    k3 = write_spec(tmp_path, EXAMPLE_K3)
+    rational = write_spec(tmp_path, EXAMPLE_RATIONAL, name="rational.json")
+    ops = [
+        # an ordinary E reaches the Hasse divisor
+        (["decide", k3, "--set", "E=ordinary", "--set", "Dp=1"], "Hasse divisor"),
+        # a supersingular E on an ordinary rational X reaches the corollary check
+        (["decide", rational], "E: genus 1, p-rank 0, ordinary=False"),
+        (["invariants", k3, "--format", "json"], '"k3_candidate": true'),
+    ]
+    for done, (argv, shown) in enumerate(ops, start=1):
+        assert main(argv) == EXIT_OK
+        assert shown in capsys.readouterr().out
+        for name in names:
+            assert calls[name][None] == done, (argv, name)
 
 
 def test_scan_computes_each_curve_fact_once_per_prime(tmp_path, monkeypatch, capsys):

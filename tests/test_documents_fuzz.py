@@ -1,7 +1,10 @@
-"""Any spec document, valid or not, ends in an exit code 0-3 and never a traceback."""
+"""Any spec or scan document, valid or not, ends in an exit code 0-3 and never a traceback."""
 
+import contextlib
+import io
 import json
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -67,3 +70,44 @@ def test_any_document_exits_with_a_code(document, sets, command, fmt):
         if command == "decide":
             argv += [arg for token in sets for arg in ("--set", token)]
         assert main(argv) in (0, 1, 2, 3)
+
+
+# integral models: generic, j = 0, j = 1728, and the singular (0, 0) and (-3, 2)
+SCAN_CURVES = st.sampled_from([(1, 1), (0, 1), (1, 0), (-7, 6), (2, 3), (0, 0), (-3, 2)])
+
+
+@st.composite
+def scan_documents(draw):
+    """A curve, often a branch of degree 0-8; one in five has a field broken or a foreign key."""
+    doc = {"E": dict(zip("ab", draw(SCAN_CURVES)))}
+    if draw(st.booleans()):
+        doc["branch"] = draw(st.lists(COEFF, min_size=1, max_size=9))
+    if draw(st.integers(0, 4)) == 4:
+        key = draw(st.sampled_from(["E", "E.a", "branch", "X"]))
+        if key == "E.a":
+            doc["E"]["a"] = draw(JUNK)
+        else:
+            doc[key] = draw(JUNK)
+    return doc
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(document=scan_documents(), pmax=st.integers(-5, 100),
+       fmt=st.sampled_from(["tsv", "json"]))
+def test_any_scan_document_exits_with_a_code(document, pmax, fmt):
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "scan.json"
+        path.write_text(json.dumps(document))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["scan", str(path), "--pmax", str(pmax), "--format", fmt])
+    assert code in (0, 1, 2, 3)
+    if code == 0 and fmt == "json":
+        payload = json.loads(out.getvalue())
+        good = [row for row in payload["rows"] if row["good"]]
+        ordinary = [row for row in good if row["verdict"]]
+        assert payload["good_primes"] == len(good)
+        assert payload["ordinary_primes"] == len(ordinary)
+        fraction = Fraction(len(ordinary), len(good)) if good else None
+        expected = None if fraction is None else [fraction.numerator, fraction.denominator]
+        assert payload["ordinary_fraction"] == expected

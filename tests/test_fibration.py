@@ -94,8 +94,8 @@ def test_classify_order_four():
     assert plus.pre_blowdown_matrix == (
         (-1, 1, 1, 1),
         (1, -4, 0, 0),
-        (1, 0, -2, 0),
-        (1, 0, 0, -4),
+        (1, 0, -4, 0),
+        (1, 0, 0, -2),
     )
     assert plus.blowdowns == 2
     minus = classify_fiber(Stabilizer.rotation(4, -1))
@@ -129,6 +129,22 @@ def test_classify_euler_table_complete():
             assert fc.euler == EXPECTED_EULER[fc.kodaira_type]
             seen.add(fc.euler)
     assert seen == {6, 4, 8, 3, 9, 2, 10}
+
+
+def test_pre_blowdown_matrices_follow_the_singularity_list():
+    """Row 0 is the (-1)-curve meeting each exceptional curve once; entry i on
+    the diagonal is -k for an A_(k,1) singularity (one (-k)-curve), -2 for A1."""
+    for e in (2, 3, 4, 6):
+        for sign in (1, -1):
+            fc = classify_fiber(Stabilizer.rotation(e, sign))
+            if fc.pre_blowdown_matrix is None:
+                continue
+            matrix = fc.pre_blowdown_matrix
+            assert matrix[0] == (-1,) + (1,) * len(fc.singularities), fc
+            for i, name in enumerate(fc.singularities, start=1):
+                k = 2 if name == "A1" else int(name[1:].split(",")[0])
+                assert name in ("A1", f"A{k},1"), name
+                assert matrix[i][i] == -k, (fc, name)
 
 
 def test_classify_rejects_illegal_orders():
@@ -322,6 +338,15 @@ def test_invariants_trivial_rotation():
 def test_invariants_etale_double_cover():
     inv = surface_invariants(make_spec(Rotation.C2, a2=0, genus_base=1))
     assert (inv.chi, inv.euler_total, inv.h1, inv.h2, inv.d) == (0, 0, 1, 0, 0)
+
+
+def test_spec_carries_its_derived_invariants():
+    rng = random.Random(23)
+    for _ in range(300):
+        spec = random_valid_spec(rng)
+        assert spec.invariants == surface_invariants(spec)
+        assert spec.invariants.tower == genus_cover_tower(spec)
+        assert spec.invariants.fibers == singular_fibers(spec)
 
 
 def test_noether_identity_randomized():
