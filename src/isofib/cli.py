@@ -25,7 +25,13 @@ import sys
 from dataclasses import asdict
 from fractions import Fraction
 
-from .curves import EllipticCurveQ, EllipticCurveW, OracleBoundError, hasse_invariant
+from .curves import (
+    BRANCH_MAX_DEGREE,
+    EllipticCurveQ,
+    EllipticCurveW,
+    OracleBoundError,
+    hasse_invariant,
+)
 from .ffpoly import FpPolynomial, PrimeField
 from .fibration import (
     RAM_KEYS,
@@ -190,6 +196,10 @@ def parse_spec_document(doc) -> FibrationSpec:
 
     if errors:
         raise SpecDocumentError(errors)
+    if branch_poly is not None and branch_poly.degree() > BRANCH_MAX_DEGREE:
+        raise OracleBoundError(
+            f"branch refused: degree {branch_poly.degree()} exceeds bound {BRANCH_MAX_DEGREE}"
+        )
     return FibrationSpec(
         rotation=rotation,
         translation=translation,
@@ -505,6 +515,10 @@ def load_scan_document(path: str) -> tuple[EllipticCurveQ, list[int] | None]:
                 errors.append("branch: need a nonconstant polynomial over the integers")
     if errors:
         raise SpecDocumentError(errors)
+    if branch is not None and len(branch) - 1 > BRANCH_MAX_DEGREE:
+        raise OracleBoundError(
+            f"branch refused: degree {len(branch) - 1} exceeds bound {BRANCH_MAX_DEGREE}"
+        )
     return curve, branch
 
 

@@ -10,7 +10,8 @@ Two routes to every ordinarity fact:
   degree equal to the p-rank.
 
 The oracles enumerate and therefore carry hard input bounds; the closed forms
-refuse a power f^((p-1)/2) of degree beyond ``CLOSED_FORM_MAX_DEGREE``.
+refuse an f of degree beyond ``BRANCH_MAX_DEGREE`` and a power f^((p-1)/2) of
+degree beyond ``CLOSED_FORM_MAX_DEGREE``.
 Exceeding a bound raises ``OracleBoundError`` rather than silently truncating.
 """
 
@@ -31,6 +32,7 @@ POINT_COUNT_MAX_P = 10_000
 ZETA_MAX_P = 13
 ZETA_MAX_GENUS = 2
 CLOSED_FORM_MAX_DEGREE = 150_000  # largest deg f^((p-1)/2) the closed forms build
+BRANCH_MAX_DEGREE = 100  # largest deg f they take: the Cartier route costs about g^3 log g
 
 
 class OracleBoundError(Exception):
@@ -120,7 +122,12 @@ def j_invariant_and_aut(curve: EllipticCurveW) -> tuple[int, int]:
 
 
 def check_closed_form_bound(f: FpPolynomial) -> None:
-    """Refuse (OracleBoundError) a power f^((p-1)/2) beyond CLOSED_FORM_MAX_DEGREE."""
+    """Refuse (OracleBoundError) an f beyond BRANCH_MAX_DEGREE or a power
+    f^((p-1)/2) beyond CLOSED_FORM_MAX_DEGREE."""
+    if f.degree() > BRANCH_MAX_DEGREE:
+        raise OracleBoundError(
+            f"closed form refused: f has degree {f.degree()}, exceeding bound {BRANCH_MAX_DEGREE}"
+        )
     degree = f.degree() * (f.field.p - 1) // 2
     if degree > CLOSED_FORM_MAX_DEGREE:
         raise OracleBoundError(

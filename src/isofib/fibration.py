@@ -101,21 +101,9 @@ class RamificationData:
             a6m=self.a6p,
         )
 
-    def total(self) -> int:
-        return self.a2 + self.a3p + self.a3m + self.a4p + self.a4m + self.a6p + self.a6m
-
 
 # the j-invariant of E that a rotation of order 3, 4 or 6 forces
 FORCED_J = {Rotation.C3: 0, Rotation.C4: 1728, Rotation.C6: 0}
-
-# which count fields each rotation class may use
-_ALLOWED_COUNTS = {
-    Rotation.TRIVIAL: frozenset(),
-    Rotation.C2: frozenset({"a2"}),
-    Rotation.C3: frozenset({"a3p", "a3m"}),
-    Rotation.C4: frozenset({"a4p", "a4m", "a2"}),
-    Rotation.C6: frozenset({"a6p", "a6m", "a3p", "a3m", "a2"}),
-}
 
 
 @dataclass(frozen=True)
@@ -151,7 +139,6 @@ class FibrationSpec:
 
 
 class KodairaType(enum.Enum):
-    SMOOTH_MULTIPLE = "smooth-multiple"
     I0STAR = "I0*"
     II = "II"
     IISTAR = "II*"
@@ -172,81 +159,43 @@ class FiberClass:
     blowdowns: int
 
 
-@dataclass(frozen=True)
-class Stabilizer:
-    """Stabilizer of a point of D: inside the translation part or the rotation part."""
-
-    in_rotation: bool
-    order: int
-    sign: int | None = None  # +1 or -1; meaningful for rotation stabilizers of order > 2
-
-    @staticmethod
-    def translation(order: int) -> "Stabilizer":
-        return Stabilizer(in_rotation=False, order=order)
-
-    @staticmethod
-    def rotation(order: int, sign: int = 1) -> "Stabilizer":
-        return Stabilizer(in_rotation=True, order=order, sign=sign)
-
-
-_FIBER_TABLE = {
-    (2, 1): FiberClass(KodairaType.I0STAR, 6, ("A1", "A1", "A1", "A1"), None, 0),
-    (2, -1): FiberClass(KodairaType.I0STAR, 6, ("A1", "A1", "A1", "A1"), None, 0),
-    (3, 1): FiberClass(
+# the fiber over a branch point of each kind: a key's digit is the ramification
+# index e and, for e > 2, p/m the sign of the character the stabilizer acts by
+# (a fixed primitive e-th root of unity or its inverse); resolving the quotient
+# singularities and contracting ``blowdowns`` (-1)-curves gives the Kodaira type
+FIBER_CLASSES = {
+    "a2": FiberClass(KodairaType.I0STAR, 6, ("A1", "A1", "A1", "A1"), None, 0),
+    "a3p": FiberClass(
         KodairaType.IV,
         4,
         ("A3,1", "A3,1", "A3,1"),
         ((-1, 1, 1, 1), (1, -3, 0, 0), (1, 0, -3, 0), (1, 0, 0, -3)),
         1,
     ),
-    (3, -1): FiberClass(KodairaType.IVSTAR, 8, ("A2", "A2", "A2"), None, 0),
-    (4, 1): FiberClass(
+    "a3m": FiberClass(KodairaType.IVSTAR, 8, ("A2", "A2", "A2"), None, 0),
+    "a4p": FiberClass(
         KodairaType.III,
         3,
         ("A4,1", "A4,1", "A1"),
         ((-1, 1, 1, 1), (1, -4, 0, 0), (1, 0, -4, 0), (1, 0, 0, -2)),
         2,
     ),
-    (4, -1): FiberClass(KodairaType.IIISTAR, 9, ("A1", "A3", "A3"), None, 0),
-    (6, 1): FiberClass(
+    "a4m": FiberClass(KodairaType.IIISTAR, 9, ("A1", "A3", "A3"), None, 0),
+    "a6p": FiberClass(
         KodairaType.II,
         2,
         ("A6,1", "A3,1", "A1"),
         ((-1, 1, 1, 1), (1, -6, 0, 0), (1, 0, -3, 0), (1, 0, 0, -2)),
         3,
     ),
-    (6, -1): FiberClass(KodairaType.IISTAR, 10, ("A5", "A2", "A1"), None, 0),
+    "a6m": FiberClass(KodairaType.IISTAR, 10, ("A5", "A2", "A1"), None, 0),
 }
-
-
-def classify_fiber(stab: Stabilizer) -> FiberClass:
-    """Fiber type over the image of a point with the given stabilizer.
-
-    Translation stabilizers give smooth multiple fibers.  Rotation
-    stabilizers of order e in {2, 3, 4, 6} give the quotient-singularity
-    configurations and (after resolving and contracting the listed number of
-    (-1)-curves) the Kodaira types I0*, IV/IV*, III/III*, II/II*; the sign
-    records whether the generator acts on the local coordinate by the fixed
-    primitive e-th root of unity or by its inverse.
-    """
-    if not stab.in_rotation:
-        if stab.order < 1:
-            raise ValueError("translation stabilizer order must be positive")
-        return FiberClass(KodairaType.SMOOTH_MULTIPLE, 0, (), None, 0)
-    if stab.order not in (2, 3, 4, 6):
-        raise ValueError(f"illegal rotation stabilizer order {stab.order}")
-    sign = 1 if stab.order == 2 else stab.sign
-    if sign not in (1, -1):
-        raise ValueError(f"rotation stabilizer of order {stab.order} needs sign +1 or -1")
-    return _FIBER_TABLE[(stab.order, sign)]
 
 
 def singular_fibers(spec: FibrationSpec) -> tuple[tuple[FiberClass, int], ...]:
     """(FiberClass, count) for each branch-point kind that occurs, in RAM_KEYS order."""
     return tuple(
-        (classify_fiber(Stabilizer.rotation(int(name[1]), -1 if name[-1] == "m" else 1)), count)
-        for name in RAM_KEYS
-        if (count := getattr(spec.ram, name))
+        (FIBER_CLASSES[name], count) for name in RAM_KEYS if (count := getattr(spec.ram, name))
     )
 
 
@@ -313,11 +262,11 @@ def _riemann_hurwitz(spec: FibrationSpec, h: int) -> int:
     cover D''' (order 6), h = 3 the intermediate double cover of order 6.
     """
     m = spec.rotation.order // h
-    r = spec.ram
     total = m * (2 * spec.genus_base - 2)
-    for e, count in ((2, r.a2), (3, r.a3p + r.a3m), (4, r.a4p + r.a4m), (6, r.a6p + r.a6m)):
+    for name in RAM_KEYS:
+        e = int(name[1])
         e_h = e // gcd(e, h)
-        total += count * (m // e_h) * (e_h - 1)
+        total += getattr(spec.ram, name) * (m // e_h) * (e_h - 1)
     return total
 
 
@@ -347,10 +296,9 @@ def validate_spec(spec: FibrationSpec) -> list[str]:
             f"characteristic p={spec.field.p} divides the group order {spec.group_order}"
         )
 
-    allowed = _ALLOWED_COUNTS[spec.rotation]
     for name in RAM_KEYS:
-        if getattr(r, name) and name not in allowed:
-            index = int(name[1])
+        index = int(name[1])  # the stabilizer's order, so it must divide |R|
+        if getattr(r, name) and n % index != 0:
             violations.append(
                 f"{name} = {getattr(r, name)}: index-{index} branch points need a "
                 f"stabilizer of order {index} inside a rotation group of order {n}"

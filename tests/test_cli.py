@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line surface."""
 
 import json
+import random
 from time import perf_counter
 
 import pytest
@@ -16,9 +17,10 @@ from isofib.cli import (
     parse_spec_document,
     spec_to_document,
 )
+from isofib.ffpoly import PrimeField
 from isofib.fibration import Rotation
 
-from helpers import count_calls
+from helpers import count_calls, random_squarefree_poly
 
 
 def write_spec(tmp_path, doc, name="spec.json"):
@@ -398,6 +400,48 @@ def test_decide_refuses_hasse_invariant_beyond_closed_form_bound(tmp_path, capsy
     assert code == EXIT_ORACLE_BOUND
     assert captured.out == ""
     assert "closed form refused" in captured.err
+
+
+def _branch_documents(tmp_path, degree):
+    """A decide/invariants spec and a scan document over one squarefree branch mod 7."""
+    branch = list(random_squarefree_poly(random.Random(degree), PrimeField(7), degree).coeffs)
+    doc = {"p": 7, "R": "C2", "ram": {"a2": degree}, "E": {"a": 1, "b": 1}, "branch": branch}
+    spec = write_spec(tmp_path, doc, name=f"spec{degree}.json")
+    scan = write_spec(tmp_path, {"E": {"a": 1, "b": 1}, "branch": branch}, name=f"scan{degree}.json")
+    return spec, scan, branch
+
+
+def test_commands_refuse_a_branch_beyond_degree_bound(tmp_path, capsys):
+    spec, scan, _ = _branch_documents(tmp_path, 320)
+    for argv in (["decide", spec], ["invariants", spec], ["scan", scan, "--pmax", "100"]):
+        start = perf_counter()
+        code = main(argv)
+        assert perf_counter() - start < 1.0, argv
+        captured = capsys.readouterr()
+        assert code == EXIT_ORACLE_BOUND, argv
+        assert captured.out == ""
+        assert "branch refused: degree 320 exceeds bound 100" in captured.err
+
+
+def test_branch_degree_bound_is_inclusive(tmp_path, capsys):
+    spec, scan, _ = _branch_documents(tmp_path, 100)
+    assert main(["invariants", spec, "--format", "json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["tower"]["Dp"] == 49
+    assert main(["decide", spec]) == EXIT_OK
+    assert "Dp: genus 49" in capsys.readouterr().out
+    assert main(["scan", scan, "--pmax", "7", "--format", "json"]) == EXIT_OK
+    assert [row["p"] for row in json.loads(capsys.readouterr().out)["rows"]] == [5, 7]
+
+
+def test_branch_degree_bound_comes_after_parsing_and_before_validation(tmp_path, capsys):
+    _, _, branch = _branch_documents(tmp_path, 320)
+    unknown_rotation = write_spec(tmp_path, {"p": 7, "R": "C9", "branch": branch})
+    assert main(["invariants", unknown_rotation]) == EXIT_PARSE
+    singular_curve = write_spec(tmp_path, {"E": {"a": 0, "b": 0}, "branch": branch}, name="e.json")
+    assert main(["scan", singular_curve, "--pmax", "20"]) == EXIT_PARSE
+    wrong_count = write_spec(tmp_path, {"p": 7, "R": "C2", "ram": {"a2": 2}, "branch": branch})
+    assert main(["invariants", wrong_count]) == EXIT_ORACLE_BOUND
+    assert "branch refused" in capsys.readouterr().err
 
 
 def test_scan_rejects_singular_integral_model(tmp_path, capsys):

@@ -5,12 +5,14 @@ import random
 import pytest
 
 from isofib.curves import (
+    BRANCH_MAX_DEGREE,
     CLOSED_FORM_MAX_DEGREE,
     EllipticCurveQ,
     EllipticCurveW,
     HyperellipticModel,
     OracleBoundError,
     cartier_manin,
+    check_closed_form_bound,
     hasse_invariant,
     j_invariant_and_aut,
     p_rank_hyperelliptic,
@@ -163,6 +165,17 @@ def test_closed_forms_refuse_beyond_degree_bound():
     sextic = hyper(50021, [1, 2, 0, 3, 0, 1, 1])
     with pytest.raises(OracleBoundError, match="closed form refused"):
         cartier_manin(sextic)
+
+
+def test_closed_forms_refuse_a_branch_beyond_degree_bound():
+    rng = random.Random(101)
+    at_bound = _random_squarefree(rng, F5, BRANCH_MAX_DEGREE)
+    check_closed_form_bound(at_bound)  # degree 100: accepted
+    beyond = HyperellipticModel(_random_squarefree(rng, F5, BRANCH_MAX_DEGREE + 1))
+    with pytest.raises(OracleBoundError, match="f has degree 101, exceeding bound 100"):
+        cartier_manin(beyond)
+    with pytest.raises(OracleBoundError, match="f has degree 101"):
+        p_rank_hyperelliptic(beyond)
 
 
 def _random_squarefree(rng, field, degree):

@@ -1,20 +1,22 @@
 """Singular-fiber table, cover tower, line-bundle degrees, surface invariants."""
 
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from isofib.curves import EllipticCurveW
 from isofib.ffpoly import PrimeField
 from isofib.fibration import (
+    FIBER_CLASSES,
+    RAM_KEYS,
     FiberClass,
     KodairaType,
     RamificationData,
     Rotation,
-    Stabilizer,
     TranslationClass,
     ValidationError,
-    classify_fiber,
     genus_cover_tower,
     line_bundle_degrees,
     singular_fibers,
@@ -41,7 +43,6 @@ def test_ramification_counts_nonnegative():
 # --- fiber classification -------------------------------------------------
 
 EXPECTED_EULER = {
-    KodairaType.SMOOTH_MULTIPLE: 0,
     KodairaType.I0STAR: 6,
     KodairaType.II: 2,
     KodairaType.IISTAR: 10,
@@ -52,15 +53,8 @@ EXPECTED_EULER = {
 }
 
 
-def test_classify_translation_stabilizer():
-    fc = classify_fiber(Stabilizer.translation(3))
-    assert fc.kodaira_type is KodairaType.SMOOTH_MULTIPLE
-    assert fc.euler == 0
-    assert fc.blowdowns == 0
-
-
 def test_classify_order_two():
-    fc = classify_fiber(Stabilizer.rotation(2))
+    fc = FIBER_CLASSES["a2"]
     assert fc.kodaira_type is KodairaType.I0STAR
     assert fc.euler == 6
     assert fc.singularities == ("A1",) * 4
@@ -68,18 +62,12 @@ def test_classify_order_two():
 
 
 def test_classify_order_three():
-    plus = classify_fiber(Stabilizer.rotation(3, 1))
+    plus = FIBER_CLASSES["a3p"]
     assert plus.kodaira_type is KodairaType.IV
     assert plus.euler == 4
     assert plus.singularities == ("A3,1",) * 3
-    assert plus.pre_blowdown_matrix == (
-        (-1, 1, 1, 1),
-        (1, -3, 0, 0),
-        (1, 0, -3, 0),
-        (1, 0, 0, -3),
-    )
     assert plus.blowdowns == 1
-    minus = classify_fiber(Stabilizer.rotation(3, -1))
+    minus = FIBER_CLASSES["a3m"]
     assert minus.kodaira_type is KodairaType.IVSTAR
     assert minus.euler == 8
     assert minus.singularities == ("A2",) * 3
@@ -87,71 +75,164 @@ def test_classify_order_three():
 
 
 def test_classify_order_four():
-    plus = classify_fiber(Stabilizer.rotation(4, 1))
+    plus = FIBER_CLASSES["a4p"]
     assert plus.kodaira_type is KodairaType.III
     assert plus.euler == 3
     assert plus.singularities == ("A4,1", "A4,1", "A1")
-    assert plus.pre_blowdown_matrix == (
-        (-1, 1, 1, 1),
-        (1, -4, 0, 0),
-        (1, 0, -4, 0),
-        (1, 0, 0, -2),
-    )
     assert plus.blowdowns == 2
-    minus = classify_fiber(Stabilizer.rotation(4, -1))
+    minus = FIBER_CLASSES["a4m"]
     assert minus.kodaira_type is KodairaType.IIISTAR
     assert minus.euler == 9
 
 
 def test_classify_order_six():
-    plus = classify_fiber(Stabilizer.rotation(6, 1))
+    plus = FIBER_CLASSES["a6p"]
     assert plus.kodaira_type is KodairaType.II
     assert plus.euler == 2
     assert plus.singularities == ("A6,1", "A3,1", "A1")
-    assert plus.pre_blowdown_matrix == (
-        (-1, 1, 1, 1),
-        (1, -6, 0, 0),
-        (1, 0, -3, 0),
-        (1, 0, 0, -2),
-    )
     assert plus.blowdowns == 3
-    minus = classify_fiber(Stabilizer.rotation(6, -1))
+    minus = FIBER_CLASSES["a6m"]
     assert minus.kodaira_type is KodairaType.IISTAR
     assert minus.euler == 10
     assert minus.singularities == ("A5", "A2", "A1")
 
 
 def test_classify_euler_table_complete():
+    assert tuple(FIBER_CLASSES) == RAM_KEYS
     seen = set()
-    for e in (2, 3, 4, 6):
-        for sign in (1, -1):
-            fc = classify_fiber(Stabilizer.rotation(e, sign))
-            assert fc.euler == EXPECTED_EULER[fc.kodaira_type]
-            seen.add(fc.euler)
+    for name in RAM_KEYS:
+        fc = FIBER_CLASSES[name]
+        assert fc.euler == EXPECTED_EULER[fc.kodaira_type]
+        seen.add(fc.euler)
     assert seen == {6, 4, 8, 3, 9, 2, 10}
 
 
 def test_pre_blowdown_matrices_follow_the_singularity_list():
     """Row 0 is the (-1)-curve meeting each exceptional curve once; entry i on
     the diagonal is -k for an A_(k,1) singularity (one (-k)-curve), -2 for A1."""
-    for e in (2, 3, 4, 6):
-        for sign in (1, -1):
-            fc = classify_fiber(Stabilizer.rotation(e, sign))
-            if fc.pre_blowdown_matrix is None:
-                continue
-            matrix = fc.pre_blowdown_matrix
-            assert matrix[0] == (-1,) + (1,) * len(fc.singularities), fc
-            for i, name in enumerate(fc.singularities, start=1):
-                k = 2 if name == "A1" else int(name[1:].split(",")[0])
-                assert name in ("A1", f"A{k},1"), name
-                assert matrix[i][i] == -k, (fc, name)
+    for fc in FIBER_CLASSES.values():
+        if fc.pre_blowdown_matrix is None:
+            continue
+        matrix = fc.pre_blowdown_matrix
+        assert matrix[0] == (-1,) + (1,) * len(fc.singularities), fc
+        for i, name in enumerate(fc.singularities, start=1):
+            k = 2 if name == "A1" else int(name[1:].split(",")[0])
+            assert name in ("A1", f"A{k},1"), name
+            assert matrix[i][i] == -k, (fc, name)
 
 
-def test_classify_rejects_illegal_orders():
-    with pytest.raises(ValueError):
-        classify_fiber(Stabilizer.rotation(5, 1))
-    with pytest.raises(ValueError):
-        classify_fiber(Stabilizer.rotation(3, 0))
+# --- the fiber table, derived from the quotient (BHPV III.5; Serrano 1996) ---
+
+
+def _isotropy_orbits(e):
+    """Stabilizer orders of the points of E with a nontrivial stabilizer under
+    the rotation group of order e, one entry per orbit, largest first."""
+    exact = {}  # stabilizer order k -> number of points with exactly that stabilizer
+    for k in sorted((k for k in range(2, e + 1) if e % k == 0), reverse=True):
+        # a rotation of order k fixes deg(1 - zeta_k) = 2 - trace points (Lefschetz)
+        fixed = 2 - round(2 * math.cos(2 * math.pi / k))
+        exact[k] = fixed - sum(n for big, n in exact.items() if big % k == 0)
+    return tuple(k for k, n in exact.items() for _ in range(n // (e // k)))
+
+
+def _hirzebruch_jung(k, q):
+    """Self-intersections -b of the resolution chain of 1/k(1, q): k/q = [b1, b2, ...]."""
+    chain = []
+    while q:
+        b = -(-k // q)
+        chain.append(b)
+        k, q = q, b * q - k
+    return chain
+
+
+def _solve(matrix, rhs):
+    """The exact solution x of matrix . x = rhs (Gauss-Jordan over the rationals)."""
+    n = len(rhs)
+    rows = [[Fraction(v) for v in row] + [Fraction(r)] for row, r in zip(matrix, rhs)]
+    for col in range(n):
+        pivot = next(i for i in range(col, n) if rows[i][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for i in range(n):
+            if i != col and rows[i][col]:
+                factor = rows[i][col] / rows[col][col]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[col])]
+    return [rows[i][n] / rows[i][i] for i in range(n)]
+
+
+def _resolve(e, sign, listed):
+    """Resolve the fiber over a branch point of index e and character sign.
+
+    Returns (singularities, intersection matrix before any blow-down,
+    blow-downs, Euler number).  Component 0 is the strict transform F0 of
+    E/(Z/e), of multiplicity e; each isotropy orbit of stabilizer order k gives
+    a singularity 1/k(1, q), q = 1 for sign + and k - 1 for sign -, whose
+    Hirzebruch-Jung chain meets F0 at its first curve.  The singularities
+    follow their order in ``listed`` (one not listed goes last); multiplicities
+    come from F.C = 0 on every exceptional curve, and F.F0 = 0 then fixes F0^2.
+    """
+    chains = []
+    for k in _isotropy_orbits(e):
+        chain = _hirzebruch_jung(k, 1 if sign > 0 else k - 1)
+        name = f"A{len(chain)}" if set(chain) == {2} else f"A{chain[0]},1"
+        chains.append((name, chain))
+    chains.sort(key=lambda item: listed.index(item[0]) if item[0] in listed else len(listed))
+    size = 1 + sum(len(chain) for _, chain in chains)
+    matrix = [[0] * size for _ in range(size)]
+    at = 1
+    for _, chain in chains:
+        matrix[0][at] = matrix[at][0] = 1
+        for j, b in enumerate(chain):
+            matrix[at + j][at + j] = -b
+            if j:
+                matrix[at + j - 1][at + j] = matrix[at + j][at + j - 1] = 1
+        at += len(chain)
+
+    exceptional = [row[1:] for row in matrix[1:]]
+    mult = [Fraction(e)] + _solve(exceptional, [-e * matrix[0][i] for i in range(1, size)])
+    assert all(m.denominator == 1 and m > 0 for m in mult), mult
+    f0_squared = -sum(m * matrix[0][i] for i, m in enumerate(mult) if i) / e
+    assert f0_squared.denominator == 1
+    matrix[0][0] = int(f0_squared)
+
+    # contract (-1)-curves: A.B += (A.C)(B.C); the fiber class F keeps F.C = 0
+    kept, blowdowns = list(range(size)), 0
+    work = [row[:] for row in matrix]
+    while minus_one := [c for c in kept if work[c][c] == -1]:
+        c = minus_one[0]
+        kept.remove(c)
+        for a in kept:
+            for b in kept:
+                work[a][b] += work[a][c] * work[b][c]
+        blowdowns += 1
+    for c in kept:
+        assert sum(mult[a] * work[a][c] for a in kept) == 0, (e, sign, c)
+    singularities = tuple(name for name, _ in chains)
+    return singularities, tuple(map(tuple, matrix)), blowdowns, size + 1 - blowdowns
+
+
+def test_fiber_classes_match_their_resolution():
+    assert _isotropy_orbits(2) == (2, 2, 2, 2)
+    assert _isotropy_orbits(3) == (3, 3, 3)
+    assert _isotropy_orbits(4) == (4, 4, 2)
+    assert _isotropy_orbits(6) == (6, 3, 2)
+    plus_matrices = {
+        "a3p": ((-1, 1, 1, 1), (1, -3, 0, 0), (1, 0, -3, 0), (1, 0, 0, -3)),
+        "a4p": ((-1, 1, 1, 1), (1, -4, 0, 0), (1, 0, -4, 0), (1, 0, 0, -2)),
+        "a6p": ((-1, 1, 1, 1), (1, -6, 0, 0), (1, 0, -3, 0), (1, 0, 0, -2)),
+    }
+    for name in RAM_KEYS:
+        fc = FIBER_CLASSES[name]
+        e, sign = int(name[1]), -1 if name.endswith("m") else 1
+        singularities, matrix, blowdowns, euler = _resolve(e, sign, fc.singularities)
+        assert sorted(singularities) == sorted(fc.singularities), name
+        assert (blowdowns, euler) == (fc.blowdowns, fc.euler), name
+        if blowdowns:
+            assert matrix == fc.pre_blowdown_matrix == plus_matrices[name], name
+        else:
+            assert fc.pre_blowdown_matrix is None and name not in plus_matrices, name
+    # the order-2 kind does not depend on the sign of its character
+    singularities, _, blowdowns, euler = _resolve(2, -1, FIBER_CLASSES["a2"].singularities)
+    assert (singularities, blowdowns, euler) == (("A1",) * 4, 0, 6)
 
 
 # --- validation -------------------------------------------------------------
@@ -171,6 +252,32 @@ def test_validate_balanced_c3_passes():
 def test_validate_c3_with_a2_fails_shape():
     violations = violations_of(Rotation.C3, a2=1, a3p=1, a3m=1)
     assert any("a2" in v and "order 3" in v for v in violations)
+
+
+# the branch kinds each rotation group allowed when the table was written out
+ALLOWED_BRANCH_KINDS = {
+    Rotation.TRIVIAL: frozenset(),
+    Rotation.C2: frozenset({"a2"}),
+    Rotation.C3: frozenset({"a3p", "a3m"}),
+    Rotation.C4: frozenset({"a4p", "a4m", "a2"}),
+    Rotation.C6: frozenset({"a6p", "a6m", "a3p", "a3m", "a2"}),
+}
+
+
+def test_branch_kind_is_legal_where_its_index_divides_the_rotation_order():
+    for rotation, allowed in ALLOWED_BRANCH_KINDS.items():
+        n = rotation.order
+        for name in RAM_KEYS:
+            index = int(name[1])
+            shape = (
+                f"{name} = 2: index-{index} branch points need a "
+                f"stabilizer of order {index} inside a rotation group of order {n}"
+            )
+            violations = violations_of(rotation, p=7, **{name: 2})
+            assert (shape in violations) == (name not in allowed), (rotation, name)
+            assert sum("branch points need a stabilizer" in v for v in violations) == (
+                name not in allowed
+            )
 
 
 def test_validate_characteristic_divides_group():
@@ -378,7 +485,6 @@ def test_sign_flip_duality():
         KodairaType.II: KodairaType.IISTAR,
         KodairaType.IISTAR: KodairaType.II,
         KodairaType.I0STAR: KodairaType.I0STAR,
-        KodairaType.SMOOTH_MULTIPLE: KodairaType.SMOOTH_MULTIPLE,
     }
     for _ in range(200):
         spec = random_valid_spec(rng)
@@ -404,7 +510,7 @@ def test_singular_fibers_are_counted_not_listed():
     spec = make_spec(Rotation.C2, a2=2 * 10**6)
     fibers = singular_fibers(spec)
     assert len(fibers) == 1
-    assert fibers[0] == (classify_fiber(Stabilizer.rotation(2)), 2 * 10**6)
+    assert fibers[0] == (FIBER_CLASSES["a2"], 2 * 10**6)
     assert surface_invariants(spec).euler_total == 12 * 10**6
 
 
@@ -415,7 +521,7 @@ def test_singular_fibers_order_and_zero_counts():
 
 
 def test_fiber_class_is_immutable():
-    fc = classify_fiber(Stabilizer.rotation(3, 1))
+    fc = FIBER_CLASSES["a3p"]
     with pytest.raises(AttributeError):
         fc.euler = 5
     assert isinstance(fc, FiberClass)

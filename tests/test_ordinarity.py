@@ -319,6 +319,12 @@ def test_hasse_poly_z2_refuses_beyond_closed_form_bound():
     assert perf_counter() - start < 1.0
 
 
+def test_hasse_poly_z2_refuses_a_branch_beyond_degree_bound():
+    branch = FpPolynomial(F5, [1] * 102)  # degree 101: refused before any other check
+    with pytest.raises(OracleBoundError, match="f has degree 101"):
+        hasse_poly_z2(EllipticCurveW(F5, 1, 1), branch)
+
+
 def test_hasse_poly_degree_matches_divisor_degree():
     # homogenized degree d(p-1) with d = a2/2
     rng = random.Random(77)
