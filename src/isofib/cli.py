@@ -357,8 +357,8 @@ def decide_payload(spec: FibrationSpec, overrides: dict) -> dict:
 
 
 def cmd_decide(args) -> int:
-    spec = load_spec(args.spec_file)
-    payload = decide_payload(spec, _parse_set_overrides(args.set or []))
+    overrides = _parse_set_overrides(args.set or [])
+    payload = decide_payload(load_spec(args.spec_file), overrides)
     if args.format == "json":
         return _print_json(payload)
     print(f"verdict  {'ordinary' if payload['ordinary'] else 'NOT ordinary'}")

@@ -3,8 +3,8 @@
 Two routes to every ordinarity fact:
 
 * the closed form: Hasse invariant (elliptic) and the Cartier operator matrix
-  on regular one-forms (hyperelliptic), both read off coefficients of
-  f^((p-1)/2);
+  on regular one-forms (hyperelliptic), both a few coefficients of
+  f^((p-1)/2) that ``poly_pow_coeff`` computes without building the power;
 * the oracle: exhaustive point counts over GF(p) (and GF(p^2) for genus 2),
   turned into the numerator of the zeta function, whose reduction mod p has
   degree equal to the p-rank.
@@ -31,8 +31,8 @@ from .ffpoly import (
 POINT_COUNT_MAX_P = 10_000
 ZETA_MAX_P = 13
 ZETA_MAX_GENUS = 2
-CLOSED_FORM_MAX_DEGREE = 150_000  # largest deg f^((p-1)/2) the closed forms build
-BRANCH_MAX_DEGREE = 100  # largest deg f they take: the Cartier route costs about g^3 log g
+CLOSED_FORM_MAX_DEGREE = 150_000  # largest deg f^((p-1)/2) the closed forms take
+BRANCH_MAX_DEGREE = 100  # largest deg f they take: the Cartier route costs about g^3
 
 
 class OracleBoundError(Exception):
@@ -141,7 +141,7 @@ def hasse_invariant(curve: EllipticCurveW) -> int:
     p = curve.field.p
     f = curve.rhs_poly()
     check_closed_form_bound(f)
-    return poly_pow_coeff(f, (p - 1) // 2, p - 1)
+    return poly_pow_coeff(f, (p - 1) // 2, (p - 1,))[0]
 
 
 def point_count_oracle(curve: EllipticCurveW) -> tuple[int, int]:
@@ -173,9 +173,9 @@ def cartier_manin(model: HyperellipticModel) -> FpMatrix:
     g = model.genus
     p = model.field.p
     check_closed_form_bound(model.f)
-    powered = model.f ** ((p - 1) // 2)
-    entries = [[powered.coeff(p * i - j) for j in range(1, g + 1)] for i in range(1, g + 1)]
-    return FpMatrix(model.field, entries)
+    ks = [p * i - j for i in range(1, g + 1) for j in range(1, g + 1)]
+    coeffs = poly_pow_coeff(model.f, (p - 1) // 2, ks)
+    return FpMatrix(model.field, [coeffs[row : row + g] for row in range(0, g * g, g)])
 
 
 def p_rank_hyperelliptic(model: HyperellipticModel) -> int:

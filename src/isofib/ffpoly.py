@@ -7,7 +7,9 @@ coefficient tuples, lowest degree first, with the trailing coefficient nonzero
 tuples.  Everything is exact: no floating point, no external bignum library.
 
 Polynomials have one exact multiply (byte-aligned Kronecker substitution) and
-one power built on it; a coefficient of f^e is read off the full power.
+one power built on it, for callers that need the whole of f^e.  A few
+coefficients of f^e come from ``poly_pow_coeff``, which runs the linear
+recurrence of f^e from its low end, its high end or both, and builds no power.
 
 The quadratic extension GF(p^2) is realized as GF(p)[w]/(w^2 - n) with n the
 smallest positive quadratic non-residue mod p, chosen deterministically so
@@ -291,14 +293,74 @@ class FpPolynomial:
         return f"FpPolynomial(p={self.field.p}, coeffs={self.coeffs})"
 
 
-def poly_pow_coeff(f: FpPolynomial, e: int, k: int) -> int:
-    """Coefficient of x^k in f^e, read off the full power.
+def _power_series_head(h: tuple[int, ...], e: int, n: int, p: int) -> list[int]:
+    """g_0, ..., g_n mod p of g = h^e, for integer coefficients h with h[0] a unit mod p.
 
-    f^0 = 1; a k beyond the degree of f^e gives 0.
+    h g' = e h' g gives n h_0 g_n = sum_(k>=1) ((e+1)k - n) h_k g_(n-k)
+    (Bostan-Gaudry-Schost, SIAM J. Comput. 2007), one step per n over the
+    nonzero h_k.  Dividing by n drops v_p(n) p-adic digits, so the steps run
+    mod p^r with r = 1 + v_p(n!) (Legendre) and g_n stays exact mod p; at a
+    multiple of p the sum is divided by p exactly.  Inverses of units below p
+    come from the table inv[u] = -(M // u) inv[M mod u] mod M.
     """
-    if e < 0 or k < 0:
-        raise ValueError("exponent and coefficient index must be nonnegative")
-    return (f**e).coeff(k)
+    digits, power = 1, p
+    while power <= n:
+        digits += n // power
+        power *= p
+    modulus = p**digits
+    inverse = [0, 1]
+    for u in range(2, min(n + 1, p)):
+        inverse.append((modulus - modulus // u) * inverse[modulus % u] % modulus)
+    h0_inv = pow(h[0], -1, modulus)
+    # (k, (e+1) k h_k / h_0, h_k / h_0) for each nonzero h_k, k >= 1
+    terms = [(k, (e + 1) * k * c * h0_inv % modulus, c * h0_inv % modulus)
+             for k, c in enumerate(h) if k and c]
+    width = len(h) - 1  # g is padded with this many zeros below g_0
+    g = [0] * width + [pow(h[0], e, modulus)]
+    for i in range(1, n + 1):
+        s = 0
+        for k, w, c in terms:
+            s += (w - i * c) * g[width + i - k]
+        u = i
+        while u % p == 0:
+            u //= p
+            s //= p
+        g.append(s * (inverse[u] if u < p else pow(u, -1, modulus)) % modulus)
+    return [c % p for c in g[width:]]
+
+
+def poly_pow_coeff(f: FpPolynomial, e: int, ks) -> tuple[int, ...]:
+    """The coefficients of x^k in f^e, one for each k in ks; no power is built.
+
+    f^0 = 1, and an index below 0 or beyond deg f^e reads 0.  With f = x^v h,
+    h(0) != 0 and m = deg h, c_k(f^e) = c_(k-ve)(h^e) = c_(me-k+ve)(rev(h)^e),
+    and both h and rev(h) have a unit constant term.  The indices in range
+    are split into a lower part, read from h^e, and an upper part, read from
+    rev(h)^e, at the cut where the two recurrences together take the fewest
+    steps; a single index is read from the nearer end.
+    """
+    if e < 0:
+        raise ValueError("negative polynomial power")
+    coeffs = f.coeffs
+    if not coeffs:
+        return tuple(int(e == 0 and k == 0) for k in ks)
+    v = next(i for i, c in enumerate(coeffs) if c)
+    h = coeffs[v:]
+    top = (len(h) - 1) * e
+    shifted = [k - v * e for k in ks]
+    inside = sorted(j for j in shifted if 0 <= j <= top)
+
+    def steps(cut: int) -> int:  # h^e reads inside[:cut], rev(h)^e reads inside[cut:]
+        return (inside[cut - 1] if cut else 0) + (top - inside[cut] if cut < len(inside) else 0)
+
+    cut = min(range(len(inside) + 1), key=steps)
+    split = inside[cut] if cut < len(inside) else top + 1
+    p = f.field.p
+    low = _power_series_head(h, e, inside[cut - 1], p) if cut else []
+    high = _power_series_head(h[::-1], e, top - split, p) if split <= top else []
+    return tuple(
+        0 if not 0 <= j <= top else low[j] if j < split else high[top - j] for j in shifted
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -351,18 +413,23 @@ class FpMatrix:
         return FpMatrix(self.field, out)
 
     def __pow__(self, e: int) -> "FpMatrix":
+        """Binary power; the first factor costs no multiply and squaring stops
+        when no bits of e remain, so M**2 is one product and M**3 two."""
         if not self.is_square():
             raise ValueError("power of a non-square matrix")
         if e < 0:
             raise ValueError("negative matrix power")
-        result = FpMatrix.identity(self.field, self.rows)
+        if e == 0:
+            return FpMatrix.identity(self.field, self.rows)
+        result = None
         base = self
-        while e:
+        while True:
             if e & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             e >>= 1
-        return result
+            if not e:
+                return result
+            base = base * base
 
     def __repr__(self) -> str:
         return f"FpMatrix(p={self.field.p}, {self.rows}x{self.cols}, {self.entries})"

@@ -12,11 +12,13 @@ from isofib.cli import (
     EXIT_ORACLE_BOUND,
     EXIT_PARSE,
     EXIT_VALIDATION,
+    SCAN_MAX_P,
     SpecDocumentError,
     main,
     parse_spec_document,
     spec_to_document,
 )
+from isofib.curves import EllipticCurveW, hasse_invariant, point_count_oracle
 from isofib.ffpoly import PrimeField
 from isofib.fibration import Rotation
 
@@ -190,15 +192,26 @@ def test_decide_missing_data_names_curves(tmp_path, capsys):
 
 def test_decide_validation_failure_lists_every_violation(tmp_path, capsys):
     doc = {"p": 5, "R": "C2", "T": [5, 1], "ram": {"a2": 3}}
-    code = main(["decide", write_spec(tmp_path, doc), "--set", "Enope"])
+    code = main(["decide", write_spec(tmp_path, doc), "--set", "E=ordinary"])
     captured = capsys.readouterr()
-    assert code == EXIT_VALIDATION  # validation comes before --set syntax
+    assert code == EXIT_VALIDATION
     assert captured.out == ""
     assert captured.err == (
         "invalid fibration data:\n"
         "  - characteristic p=5 divides the group order 10\n"
         "  - deg L1 = -a2/2 = -3/2 is not an integer\n"
     )
+
+
+def test_decide_reports_a_malformed_override_before_reading_the_document(tmp_path, capsys):
+    law_breaking = write_spec(tmp_path, {"p": 5, "R": "C2", "T": [5, 1], "ram": {"a2": 3}})
+    too_long = {"p": 7, "R": "C2", "ram": {"a2": 102}, "branch": [1] + [0] * 101 + [1]}
+    for path in (law_breaking, write_spec(tmp_path, too_long, "long.json")):
+        code = main(["decide", path, "--set", "noeq"])
+        captured = capsys.readouterr()
+        assert code == EXIT_PARSE, path
+        assert captured.out == ""
+        assert "--set 'noeq': expected NAME=VALUE" in captured.err
 
 
 def test_decide_rejects_ordinary_override_against_deuring(tmp_path, capsys):
@@ -371,6 +384,20 @@ def test_scan_bad_primes_flagged(tmp_path, capsys):
     by_p = {r["p"]: r for r in payload["rows"]}
     assert by_p[31]["good"] is False
     assert by_p[31]["verdict"] is None
+
+
+def test_scan_at_the_advertised_limit_follows_deuring(tmp_path, capsys):
+    # j = 0 is ordinary exactly at p = 1 mod 3, j = 1728 exactly at p = 1 mod 4
+    for (a, b), modulus in (((0, 1), 3), ((1, 0), 4)):
+        path = write_spec(tmp_path, {"E": {"a": a, "b": b}}, name="scan.json")
+        assert main(["scan", path, "--pmax", str(SCAN_MAX_P), "--format", "json"]) == EXIT_OK
+        good = [row for row in json.loads(capsys.readouterr().out)["rows"] if row["good"]]
+        assert good[-1]["p"] == 9973
+        for row in good:
+            assert row["E_ord"] == (row["p"] % modulus == 1), (a, b, row["p"])
+        for p in [row["p"] for row in good][-10:]:
+            curve = EllipticCurveW(PrimeField(p), a, b)
+            assert hasse_invariant(curve) == point_count_oracle(curve)[1] % p, (a, b, p)
 
 
 def test_scan_pmax_bound(tmp_path, capsys):

@@ -81,29 +81,30 @@ def test_polynomial_normalization():
 def test_poly_pow_coeff_cube_of_x3_plus_1():
     # (x^3+1)^3 = x^9 + 3x^6 + 3x^3 + 1
     f = FpPolynomial(F7, [1, 0, 0, 1])
-    assert poly_pow_coeff(f, 3, 6) == 3
-    assert poly_pow_coeff(f, 3, 9) == 1
-    assert poly_pow_coeff(f, 3, 5) == 0
+    assert poly_pow_coeff(f, 3, (6, 9, 5)) == (3, 1, 0)
 
 
 def test_poly_pow_coeff_cube_of_x3_plus_x():
     # (x^3+x)^3 = x^9 + 3x^7 + 3x^5 + x^3: no x^6 term
     f = FpPolynomial(F7, [0, 1, 0, 1])
-    assert poly_pow_coeff(f, 3, 6) == 0
-    assert poly_pow_coeff(f, 3, 7) == 3
+    assert poly_pow_coeff(f, 3, (6, 7)) == (0, 3)
 
 
 def test_poly_pow_coeff_unit_polynomial():
     one = FpPolynomial.one(F7)
-    assert poly_pow_coeff(one, 5, 0) == 1
-    assert poly_pow_coeff(one, 5, 3) == 0
+    assert poly_pow_coeff(one, 5, (0, 3)) == (1, 0)
 
 
 def test_poly_pow_coeff_out_of_range_is_zero():
     f = FpPolynomial(F7, [1, 1])
-    assert poly_pow_coeff(f, 2, 50) == 0
-    assert poly_pow_coeff(f, 0, 0) == 1
-    assert poly_pow_coeff(f, 0, 1) == 0
+    assert poly_pow_coeff(f, 2, (50, -1, 2)) == (0, 0, 1)
+    assert poly_pow_coeff(f, 0, (0, 1, -1)) == (1, 0, 0)
+    zero = FpPolynomial.zero(F7)
+    assert poly_pow_coeff(zero, 0, (0, 1)) == (1, 0)
+    assert poly_pow_coeff(zero, 3, (0, 1)) == (0, 0)
+    assert poly_pow_coeff(f, 2, ()) == ()
+    with pytest.raises(ValueError):
+        poly_pow_coeff(f, -1, (0,))
 
 
 def test_poly_pow_coeff_multiplicativity():
@@ -117,8 +118,48 @@ def test_poly_pow_coeff_multiplicativity():
         lhs = (f * g) ** e
         rhs = (f**e) * (g**e)
         assert lhs == rhs
-        for k in range(lhs.degree() + 2):
-            assert poly_pow_coeff(f * g, e, k) == lhs.coeff(k)
+        ks = range(lhs.degree() + 2)
+        assert poly_pow_coeff(f * g, e, ks) == tuple(lhs.coeff(k) for k in ks)
+
+
+def _random_poly(rng, field, degree):
+    """Degree `degree`, with f(0) = 0 and inner zero coefficients often."""
+    p = field.p
+    coeffs = [rng.randrange(p) for _ in range(degree)] + [rng.randrange(1, p)]
+    for i in range(degree):
+        if rng.random() < 0.25:
+            coeffs[i] = 0
+    return FpPolynomial(field, coeffs)
+
+
+def test_poly_pow_coeff_matches_the_full_power():
+    rng = random.Random(13)
+    for p in (5, 7, 11, 13, 101, 211, 1009, 2203):
+        field = PrimeField(p)
+        for degree in range(9):
+            f = _random_poly(rng, field, degree)
+            for e in (0, 1, 2, (p - 1) // 2, rng.randrange(3 * p)):
+                full = f**e
+                top = full.degree()
+                edges = {-p, -1, 0, 1, top, top + 1, top + p}
+                for m in (p, 2 * p, p * p):
+                    edges.update((m - 1, m, m + 1, top - m))
+                ks = sorted(edges | {rng.randrange(top + 1) for _ in range(20)})
+                got = poly_pow_coeff(f, e, ks)
+                assert got == tuple(full.coeff(k) for k in ks), (p, f.coeffs, e)
+
+
+def test_poly_pow_coeff_reads_every_cartier_entry():
+    rng = random.Random(17)
+    for p in (5, 7, 11, 101, 293, 641, 1009, 2203):
+        field = PrimeField(p)
+        e = (p - 1) // 2
+        for degree in range(3, 9):
+            g = (degree - 1) // 2
+            f = _random_poly(rng, field, degree)
+            ks = [p * i - j for i in range(1, g + 1) for j in range(1, g + 1)]
+            full = f**e
+            assert poly_pow_coeff(f, e, ks) == tuple(full.coeff(k) for k in ks), (p, f.coeffs)
 
 
 def test_poly_pow_matches_repeated_product():
@@ -239,6 +280,26 @@ def test_matrix_power():
     m = FpMatrix(F7, [[0, 3], [0, 0]])
     assert (m**2).entries == ((0, 0), (0, 0))
     assert (m**0).entries == FpMatrix.identity(F7, 2).entries
+
+
+def test_matrix_power_is_the_repeated_product_with_fewest_multiplies(monkeypatch):
+    m = FpMatrix(F7, [[1, 2, 3], [4, 5, 6], [0, 1, 2]])
+    acc = FpMatrix.identity(F7, 3)
+    products = []
+    real_mul = FpMatrix.__mul__
+
+    def recording_mul(a, b):
+        products.append(None)
+        return real_mul(a, b)
+
+    for e in range(7):
+        monkeypatch.setattr(FpMatrix, "__mul__", recording_mul)
+        products.clear()
+        powered = m**e
+        monkeypatch.setattr(FpMatrix, "__mul__", real_mul)
+        assert powered == acc, e
+        assert len(products) == (0, 0, 1, 2, 2, 3, 3)[e], e
+        acc = acc * m
 
 
 def test_ext_field_modulus_choice():
