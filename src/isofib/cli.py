@@ -13,8 +13,8 @@ Spec documents are JSON with exact integers::
     }
 
 Subcommands: ``invariants``, ``decide``, ``verify-examples``, ``scan``.
-Exit codes: 0 success, 1 validation failure, 2 parse failure, 3 oracle-bound
-refusal.
+Exit codes: 0 success, 1 validation failure, 2 unreadable or unparsable input,
+3 oracle-bound refusal.
 """
 
 from __future__ import annotations
@@ -76,6 +76,10 @@ class SpecDocumentError(Exception):
         super().__init__("; ".join(self.errors))
 
 
+class _UnreadableInput(Exception):
+    """The input file could not be opened or decoded."""
+
+
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -94,11 +98,15 @@ def _want_int(doc, key, errors, minimum=None, path=""):
 
 def _read_document(path: str):
     """The JSON value in the file at path; a syntax error becomes path:line:col: msg."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise SpecDocumentError([f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}"]) from None
+    except json.JSONDecodeError as exc:
+        raise SpecDocumentError([f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}"]) from None
+    except OSError as exc:  # missing, a directory, unreadable
+        raise _UnreadableInput(str(exc)) from None
+    except (ValueError, RecursionError) as exc:  # not UTF-8, too long an integer, too deep
+        raise _UnreadableInput(f"{path}: {exc}") from None
 
 
 def _want_curve(e_raw, errors) -> tuple[int, int] | None:
@@ -642,7 +650,7 @@ def main(argv=None) -> int:
         for err in exc.errors:
             print(f"  - {err}", file=sys.stderr)
         return EXIT_PARSE
-    except FileNotFoundError as exc:
+    except _UnreadableInput as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except OracleBoundError as exc:

@@ -151,15 +151,7 @@ def point_count_oracle(curve: EllipticCurveW) -> tuple[int, int]:
         raise OracleBoundError(
             f"point enumeration refused: p={p} exceeds bound {POINT_COUNT_MAX_P}"
         )
-    field = curve.field
-    rhs = curve.rhs_poly()
-    count = 1  # point at infinity
-    for x in range(p):
-        v = rhs.evaluate(x)
-        if v == 0:
-            count += 1
-        elif field.is_square(v):
-            count += 2
+    count = 1 + _affine_count_prime(curve.rhs_poly())  # the point at infinity
     return count, p + 1 - count
 
 
@@ -186,11 +178,12 @@ def p_rank_hyperelliptic(model: HyperellipticModel) -> int:
     return rank
 
 
-def _affine_count_prime(model: HyperellipticModel) -> int:
-    field = model.field
+def _affine_count_prime(f: FpPolynomial) -> int:
+    """Affine points of y^2 = f(x) over GF(p), by Euler's criterion at each x."""
+    field = f.field
     count = 0
     for x in range(field.p):
-        v = model.f.evaluate(x)
+        v = f.evaluate(x)
         if v == 0:
             count += 1
         elif field.is_square(v):
@@ -239,7 +232,7 @@ def zeta_prank_oracle(model: HyperellipticModel) -> int:
         raise OracleBoundError(f"zeta oracle refused: genus {g} exceeds bound {ZETA_MAX_GENUS}")
     if p > ZETA_MAX_P:
         raise OracleBoundError(f"zeta oracle refused: p={p} exceeds bound {ZETA_MAX_P}")
-    n1 = _affine_count_prime(model) + _points_at_infinity_prime(model)
+    n1 = _affine_count_prime(model.f) + _points_at_infinity_prime(model)
     s1 = p + 1 - n1  # sum of the Weil numbers
     if g == 1:
         return 0 if s1 % p == 0 else 1

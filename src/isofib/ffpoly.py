@@ -6,10 +6,12 @@ coefficient tuples, lowest degree first, with the trailing coefficient nonzero
 (the zero polynomial is the empty tuple).  Matrices are immutable row-major
 tuples.  Everything is exact: no floating point, no external bignum library.
 
-Polynomials have one exact multiply (byte-aligned Kronecker substitution) and
-one power built on it, for callers that need the whole of f^e.  A few
-coefficients of f^e come from ``poly_pow_coeff``, which runs the linear
-recurrence of f^e from its low end, its high end or both, and builds no power.
+Polynomials have one exact multiply (byte-aligned Kronecker substitution),
+one power built on it for callers that need the whole of f^e, one coefficient
+kernel and one squarefree test.  A few coefficients of f^e come from
+``poly_pow_coeff``, which runs the linear recurrence of f^e from its low end,
+its high end or both, and builds no power.  ``is_squarefree`` runs Euclid on
+the coefficient lists of f and f'.
 
 The quadratic extension GF(p^2) is realized as GF(p)[w]/(w^2 - n) with n the
 smallest positive quadratic non-residue mod p, chosen deterministically so
@@ -82,12 +84,6 @@ class PrimeField:
     def add(self, x: int, y: int) -> int:
         return (x + y) % self.p
 
-    def sub(self, x: int, y: int) -> int:
-        return (x - y) % self.p
-
-    def neg(self, x: int) -> int:
-        return (-x) % self.p
-
     def mul(self, x: int, y: int) -> int:
         return (x * y) % self.p
 
@@ -115,9 +111,6 @@ class PrimeField:
             if not self.is_square(n):
                 return n
         raise AssertionError("unreachable: GF(p) with p > 2 has a non-residue")
-
-    def elements(self) -> Iterator[int]:
-        return iter(range(self.p))
 
 
 # ---------------------------------------------------------------------------
@@ -175,10 +168,6 @@ class FpPolynomial:
     def one(field: PrimeField) -> "FpPolynomial":
         return FpPolynomial(field, (1,))
 
-    @staticmethod
-    def x(field: PrimeField) -> "FpPolynomial":
-        return FpPolynomial(field, (0, 1))
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -194,29 +183,9 @@ class FpPolynomial:
     def leading_coeff(self) -> int:
         return self.coeffs[-1] if self.coeffs else 0
 
-    def _check_same_field(self, other: "FpPolynomial") -> None:
+    def __mul__(self, other: "FpPolynomial") -> "FpPolynomial":
         if self.field != other.field:
             raise ValueError("polynomials over different fields")
-
-    def __add__(self, other: "FpPolynomial") -> "FpPolynomial":
-        self._check_same_field(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return FpPolynomial(
-            self.field, [self.coeff(i) + other.coeff(i) for i in range(n)]
-        )
-
-    def __sub__(self, other: "FpPolynomial") -> "FpPolynomial":
-        self._check_same_field(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return FpPolynomial(
-            self.field, [self.coeff(i) - other.coeff(i) for i in range(n)]
-        )
-
-    def __neg__(self) -> "FpPolynomial":
-        return FpPolynomial(self.field, [-c for c in self.coeffs])
-
-    def __mul__(self, other: "FpPolynomial") -> "FpPolynomial":
-        self._check_same_field(other)
         prod = _mul_coeffs(self.field.p, self.coeffs, other.coeffs)
         return FpPolynomial(self.field, prod)
 
@@ -246,48 +215,29 @@ class FpPolynomial:
             acc = (acc * x + c) % p
         return acc
 
-    def derivative(self) -> "FpPolynomial":
-        return FpPolynomial(
-            self.field, [i * c for i, c in enumerate(self.coeffs)][1:]
-        )
-
-    def monic(self) -> "FpPolynomial":
-        if self.is_zero():
-            return self
-        return self.scale(self.field.inv(self.leading_coeff()))
-
-    def divmod(self, other: "FpPolynomial") -> tuple["FpPolynomial", "FpPolynomial"]:
-        self._check_same_field(other)
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        p = self.field.p
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return FpPolynomial.zero(self.field), self
-        quo = [0] * (dq + 1)
-        lead_inv = self.field.inv(other.leading_coeff())
-        for k in range(dq, -1, -1):
-            c = (rem[k + other.degree()] * lead_inv) % p
-            quo[k] = c
-            if c:
-                for i, oc in enumerate(other.coeffs):
-                    rem[k + i] = (rem[k + i] - c * oc) % p
-        return FpPolynomial(self.field, quo), FpPolynomial(self.field, rem)
-
-    def gcd(self, other: "FpPolynomial") -> "FpPolynomial":
-        """Monic gcd by the Euclidean algorithm."""
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a.divmod(b)[1]
-        return a.monic()
-
     def is_squarefree(self) -> bool:
-        """gcd(f, f') is a nonzero constant.  False for the zero polynomial."""
-        if self.is_zero():
-            return False
-        g = self.gcd(self.derivative())
-        return g.degree() == 0
+        """gcd(f, f') is a nonzero constant: Euclid on the coefficient lists of
+        f and f', each step reducing a mod b in place and popping zeros off the
+        top.  False for the zero polynomial and for f' = 0 at positive degree
+        (f = g(x^p)); True for a nonzero constant."""
+        p = self.field.p
+        a = list(self.coeffs)
+        b = [i * c % p for i, c in enumerate(a)][1:]
+        while b and not b[-1]:
+            b.pop()
+        while b:
+            lead_inv = pow(b[-1], -1, p)
+            db = len(b) - 1
+            while len(a) > db:
+                c = a.pop() * lead_inv % p
+                if c:
+                    shift = len(a) - db
+                    for i in range(db):
+                        a[shift + i] = (a[shift + i] - c * b[i]) % p
+            while a and not a[-1]:
+                a.pop()
+            a, b = b, a
+        return len(a) == 1
 
     def __repr__(self) -> str:
         return f"FpPolynomial(p={self.field.p}, coeffs={self.coeffs})"
@@ -390,10 +340,6 @@ class FpMatrix:
     def identity(field: PrimeField, n: int) -> "FpMatrix":
         return FpMatrix(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @staticmethod
-    def zero(field: PrimeField, rows: int, cols: int) -> "FpMatrix":
-        return FpMatrix(field, [[0] * cols for _ in range(rows)])
-
     def is_square(self) -> bool:
         return self.rows == self.cols
 
@@ -490,8 +436,8 @@ ExtElement = tuple[int, int]
 class ExtField:
     """GF(p^2) = GF(p)[w]/(w^2 - n), n the smallest non-residue mod p.
 
-    Elements are pairs (a, b) of residues representing a + b*w.  The
-    Frobenius x -> x^p fixes GF(p) pointwise and squares to the identity.
+    Elements are pairs (a, b) of residues representing a + b*w.  Since n is
+    a non-residue, w^p = -w, so x -> x^p maps a + b*w to a - b*w.
     """
 
     __slots__ = ("base", "non_residue")
@@ -517,32 +463,15 @@ class ExtField:
         p = self.base.p
         return ((x[0] + y[0]) % p, (x[1] + y[1]) % p)
 
-    def sub(self, x: ExtElement, y: ExtElement) -> ExtElement:
-        p = self.base.p
-        return ((x[0] - y[0]) % p, (x[1] - y[1]) % p)
-
     def mul(self, x: ExtElement, y: ExtElement) -> ExtElement:
         p = self.base.p
         a, b = x
         c, d = y
         return ((a * c + self.non_residue * b * d) % p, (a * d + b * c) % p)
 
-    def inverse(self, x: ExtElement) -> ExtElement:
-        p = self.base.p
-        a, b = x
-        norm = (a * a - self.non_residue * b * b) % p
-        if norm == 0:
-            raise ZeroDivisionError(f"inverse of 0 in GF({p}^2)")
-        ninv = pow(norm, -1, p)
-        return ((a * ninv) % p, (-b * ninv) % p)
-
-    def frobenius(self, x: ExtElement) -> ExtElement:
-        # w^p = w * n^((p-1)/2) = -w since n is a non-residue
-        return (x[0], (-x[1]) % self.base.p)
-
     def pow_(self, x: ExtElement, e: int) -> ExtElement:
         if e < 0:
-            return self.pow_(self.inverse(x), -e)
+            raise ValueError("negative power")
         result = self.one()
         base = x
         while e:

@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 from time import perf_counter
 
 import pytest
@@ -487,6 +488,54 @@ def test_scan_rejects_constant_branch(tmp_path, capsys):
 
 def test_missing_file_is_parse_failure(capsys):
     assert main(["invariants", "/nonexistent/path.json"]) == EXIT_PARSE
+    assert capsys.readouterr().err == (
+        "cannot read input: [Errno 2] No such file or directory: '/nonexistent/path.json'\n"
+    )
+
+
+def test_a_directory_is_unreadable_input(tmp_path, capsys):
+    for argv in (["invariants"], ["decide"], ["scan", "--pmax", "20"]):
+        assert main([*argv[:1], str(tmp_path), *argv[1:]]) == EXIT_PARSE, argv
+        assert capsys.readouterr().err == f"cannot read input: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+
+def test_invalid_utf8_is_unreadable_input(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"p": 5, "R": "C2", "ram": {"a2": 2}, "note": "caf\xe9"}')
+    assert main(["invariants", str(path)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot read input: {path}: 'utf-8' codec can't decode byte 0xe9")
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit here")
+def test_an_integer_beyond_the_digit_limit_is_unreadable_input(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text('{"p": ' + "7" * 5000 + ', "R": "C2", "ram": {"a2": 2}}')
+    assert main(["invariants", str(path)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot read input: {path}: Exceeds the limit")
+
+
+def test_nesting_beyond_the_decoder_depth_is_unreadable_input(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["scan", str(path), "--pmax", "20"]) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith(f"cannot read input: {path}: maximum recursion depth")
+
+
+def test_a_broken_pipe_on_stdout_is_not_an_input_error(tmp_path, monkeypatch, capsys):
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+    path = write_spec(tmp_path, EXAMPLE_RATIONAL)
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    with pytest.raises(BrokenPipeError):
+        main(["invariants", path])
+    assert "cannot read input" not in capsys.readouterr().err
 
 
 def test_console_entry_point_help():

@@ -1,5 +1,6 @@
 """Singular-fiber table, cover tower, line-bundle degrees, surface invariants."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -17,6 +18,7 @@ from isofib.fibration import (
     Rotation,
     TranslationClass,
     ValidationError,
+    _degree_fractions,
     genus_cover_tower,
     line_bundle_degrees,
     singular_fibers,
@@ -407,6 +409,40 @@ def test_degrees_order_six():
 
 def test_degrees_trivial_rotation_empty():
     assert line_bundle_degrees(make_spec(Rotation.TRIVIAL, genus_base=1)) == ()
+
+
+# L_i is the chi^c eigensheaf for the i-th exponent c; order 6 numbers its L2 and
+# L4 as chi^4 and chi^2, and the deg_L output follows that numbering
+CHARACTER_EXPONENTS = {
+    Rotation.TRIVIAL: (),
+    Rotation.C2: (1,),
+    Rotation.C3: (1, 2),
+    Rotation.C4: (1, 2, 3),
+    Rotation.C6: (1, 4, 3, 2, 5),
+}
+
+
+def test_degree_fractions_follow_the_eigensheaf_formula():
+    # a key's digit is its index e; its sign s is -1 for the m keys (the stabilizer
+    # acts by the inverse root of unity) and +1 for a2 and the p keys.  A branch
+    # point adds ((-s c) mod e)/e to -deg of the chi^c eigensheaf, whose
+    # denominator is the order n / gcd(n, c) of chi^c
+    for rotation, exponents in CHARACTER_EXPONENTS.items():
+        n = rotation.order
+        rows = []
+        for c in exponents:
+            den = n // math.gcd(n, c)
+            weights = []
+            for name in RAM_KEYS:
+                e, sign = int(name[1]), -1 if name.endswith("m") else 1
+                weight = Fraction((-sign * c) % e, e) * den if n % e == 0 else Fraction(0)
+                assert weight.denominator == 1, (rotation, c, name)
+                weights.append(int(weight))
+            rows.append((weights, den))
+        for counts in itertools.product(range(4), repeat=len(RAM_KEYS)):
+            table = _degree_fractions(rotation, RamificationData(*counts))
+            expected = [(sum(w * a for w, a in zip(weights, counts)), den) for weights, den in rows]
+            assert [(num, den) for num, den, _ in table] == expected, (rotation, counts)
 
 
 # --- surface invariants -----------------------------------------------------
