@@ -30,7 +30,7 @@ from .curves import (
     EllipticCurveQ,
     EllipticCurveW,
     OracleBoundError,
-    hasse_invariant,
+    ordinary_primes,
 )
 from .ffpoly import FpPolynomial, PrimeField
 from .fibration import (
@@ -530,20 +530,15 @@ def load_scan_document(path: str) -> tuple[EllipticCurveQ, list[int] | None]:
     return curve, branch
 
 
-def _scan_one_prime(curve: EllipticCurveQ, branch: list[int] | None, p: int) -> dict:
-    row = {"p": p, "good": False, "E_ord": None, "Dp_ord": None, "verdict": None}
-    if not curve.has_good_reduction(p):
-        return row
+def _scan_row(p: int, e_ord=None, dp_ord=None, verdict=None) -> dict:
+    """One row of a scan; a prime without an E_ord value is a bad prime."""
+    return {"p": p, "good": e_ord is not None, "E_ord": e_ord, "Dp_ord": dp_ord, "verdict": verdict}
+
+
+def _scan_one_prime(curve: EllipticCurveQ, branch: list[int], p: int) -> dict:
+    if not curve.has_good_reduction(p) or branch[-1] % p == 0:
+        return _scan_row(p)  # E is singular mod p, or the branch degree drops
     field = PrimeField(p)
-    if branch is None:
-        row["good"] = True
-        e_p = curve.reduce(field)
-        ordinary = hasse_invariant(e_p) != 0
-        row["E_ord"] = ordinary
-        row["verdict"] = ordinary
-        return row
-    if branch[-1] % p == 0:
-        return row  # leading coefficient vanishes: the branch degree drops
     branch_p = FpPolynomial(field, branch)
     a2 = branch_p.degree() + (branch_p.degree() % 2)
     try:
@@ -559,20 +554,22 @@ def _scan_one_prime(curve: EllipticCurveQ, branch: list[int] | None, p: int) -> 
     except ValidationError:
         # with E and the degree of the branch polynomial both surviving
         # reduction mod p, squarefreeness is the only rule this spec can break
-        return row
-    row["good"] = True
+        return _scan_row(p)
     report = build_report(spec)
-    row["E_ord"] = report.e.ordinary
-    row["Dp_ord"] = bool(report.dp.ordinary)
-    row["verdict"] = decide(spec, report).ordinary
-    return row
+    return _scan_row(p, report.e.ordinary, bool(report.dp.ordinary), decide(spec, report).ordinary)
 
 
 def cmd_scan(args) -> int:
     if args.pmax > SCAN_MAX_P:
         raise OracleBoundError(f"scan refused: pmax={args.pmax} exceeds bound {SCAN_MAX_P}")
     curve, branch = load_scan_document(args.scan_file)
-    rows = [_scan_one_prime(curve, branch, p) for p in _primes_up_to(args.pmax) if p >= 5]
+    primes = [p for p in _primes_up_to(args.pmax) if p >= 5]
+    if branch is None:
+        good = [p for p in primes if curve.has_good_reduction(p)]
+        e_ord = dict(zip(good, ordinary_primes(curve, good)))
+        rows = [_scan_row(p, e_ord.get(p), None, e_ord.get(p)) for p in primes]
+    else:
+        rows = [_scan_one_prime(curve, branch, p) for p in primes]
     good = [r for r in rows if r["good"]]
     ordinary = [r for r in good if r["verdict"]]
     fraction = Fraction(len(ordinary), len(good)) if good else None

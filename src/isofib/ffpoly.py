@@ -243,6 +243,15 @@ class FpPolynomial:
         return f"FpPolynomial(p={self.field.p}, coeffs={self.coeffs})"
 
 
+def _padic_digits(n: int, p: int) -> int:
+    """1 + v_p(n!) (Legendre): the p-adic digits a run of n steps works with."""
+    digits, power = 1, p
+    while power <= n:
+        digits += n // power
+        power *= p
+    return digits
+
+
 def _power_series_head(h: tuple[int, ...], e: int, n: int, p: int) -> list[int]:
     """g_0, ..., g_n mod p of g = h^e, for integer coefficients h with h[0] a unit mod p.
 
@@ -253,11 +262,7 @@ def _power_series_head(h: tuple[int, ...], e: int, n: int, p: int) -> list[int]:
     multiple of p the sum is divided by p exactly.  Inverses of units below p
     come from the table inv[u] = -(M // u) inv[M mod u] mod M.
     """
-    digits, power = 1, p
-    while power <= n:
-        digits += n // power
-        power *= p
-    modulus = p**digits
+    modulus = p ** _padic_digits(n, p)
     inverse = [0, 1]
     for u in range(2, min(n + 1, p)):
         inverse.append((modulus - modulus // u) * inverse[modulus % u] % modulus)
@@ -279,6 +284,30 @@ def _power_series_head(h: tuple[int, ...], e: int, n: int, p: int) -> list[int]:
     return [c % p for c in g[width:]]
 
 
+def _runs(f: FpPolynomial, e: int, ks) -> tuple[tuple[int, ...], int, list[int], int, int]:
+    """How poly_pow_coeff reads ks from a nonzero f: (h, top, shifted, low, high).
+
+    f = x^v h with h(0) != 0, top = deg h^e, and shifted holds the indices
+    k - ve.  The run from h takes low steps and reads the indices up to low;
+    the run from rev(h) takes high steps and reads the rest (-1: no run).
+    The cut between them is where the two take the fewest steps together.
+    """
+    coeffs = f.coeffs
+    v = next(i for i, c in enumerate(coeffs) if c)
+    h = coeffs[v:]
+    top = (len(h) - 1) * e
+    shifted = [k - v * e for k in ks]
+    inside = sorted(j for j in shifted if 0 <= j <= top)
+
+    def steps(cut: int) -> int:  # h^e reads inside[:cut], rev(h)^e reads inside[cut:]
+        return (inside[cut - 1] if cut else 0) + (top - inside[cut] if cut < len(inside) else 0)
+
+    cut = min(range(len(inside) + 1), key=steps)
+    low = inside[cut - 1] if cut else -1
+    high = top - inside[cut] if cut < len(inside) else -1
+    return h, top, shifted, low, high
+
+
 def poly_pow_coeff(f: FpPolynomial, e: int, ks) -> tuple[int, ...]:
     """The coefficients of x^k in f^e, one for each k in ks; no power is built.
 
@@ -291,26 +320,29 @@ def poly_pow_coeff(f: FpPolynomial, e: int, ks) -> tuple[int, ...]:
     """
     if e < 0:
         raise ValueError("negative polynomial power")
-    coeffs = f.coeffs
-    if not coeffs:
+    if not f.coeffs:
         return tuple(int(e == 0 and k == 0) for k in ks)
-    v = next(i for i, c in enumerate(coeffs) if c)
-    h = coeffs[v:]
-    top = (len(h) - 1) * e
-    shifted = [k - v * e for k in ks]
-    inside = sorted(j for j in shifted if 0 <= j <= top)
-
-    def steps(cut: int) -> int:  # h^e reads inside[:cut], rev(h)^e reads inside[cut:]
-        return (inside[cut - 1] if cut else 0) + (top - inside[cut] if cut < len(inside) else 0)
-
-    cut = min(range(len(inside) + 1), key=steps)
-    split = inside[cut] if cut < len(inside) else top + 1
+    h, top, shifted, low_steps, high_steps = _runs(f, e, ks)
     p = f.field.p
-    low = _power_series_head(h, e, inside[cut - 1], p) if cut else []
-    high = _power_series_head(h[::-1], e, top - split, p) if split <= top else []
+    low = _power_series_head(h, e, low_steps, p) if low_steps >= 0 else []
+    high = _power_series_head(h[::-1], e, high_steps, p) if high_steps >= 0 else []
     return tuple(
-        0 if not 0 <= j <= top else low[j] if j < split else high[top - j] for j in shifted
+        0 if not 0 <= j <= top else low[j] if j <= low_steps else high[top - j] for j in shifted
     )
+
+
+def recurrence_work(f: FpPolynomial, e: int, ks) -> int:
+    """Steps times p-adic digits of the runs poly_pow_coeff(f, e, ks) makes.
+
+    A step costs one product per nonzero coefficient of f, on integers of
+    that many digits, so for a given f the kernel's time grows with this.
+    """
+    if e < 0:
+        raise ValueError("negative polynomial power")
+    if not f.coeffs:
+        return 0
+    _, _, _, low, high = _runs(f, e, ks)
+    return sum(n * _padic_digits(n, f.field.p) for n in (low, high) if n > 0)
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,11 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 from dataclasses import dataclass
 from math import gcd
 
-from .curves import EllipticCurveW, j_invariant_and_aut
+from .curves import EllipticCurveW, HyperellipticModel, j_invariant_and_aut
 from .ffpoly import FpPolynomial, PrimeField
 
 
@@ -136,6 +137,15 @@ class FibrationSpec:
     @property
     def group_order(self) -> int:
         return self.translation.order * self.rotation.order
+
+    @functools.cached_property
+    def double_cover(self) -> HyperellipticModel:
+        """D' as the curve y^2 = branch_poly, for a branch of degree 3 or more.
+
+        Built once: its construction is validation's squarefree check, and
+        the report reads the same model.
+        """
+        return HyperellipticModel(self.branch_poly)
 
 
 class KodairaType(enum.Enum):
@@ -345,7 +355,7 @@ def validate_spec(spec: FibrationSpec) -> list[str]:
             violations.append("branch polynomial lives over a different prime field")
         elif spec.branch_poly.degree() < 1:
             violations.append("branch polynomial must be nonconstant")
-        elif not spec.branch_poly.is_squarefree():
+        elif not _branch_is_squarefree(spec):
             violations.append("branch polynomial is not squarefree")
         else:
             deg = spec.branch_poly.degree()
@@ -356,6 +366,18 @@ def validate_spec(spec: FibrationSpec) -> list[str]:
                     f"(degree {deg}{', plus infinity' if deg % 2 else ''}) but a2 = {r.a2}"
                 )
     return violations
+
+
+def _branch_is_squarefree(spec: FibrationSpec) -> bool:
+    """Whether the branch polynomial is squarefree.  From degree 3 on the test
+    is the construction of ``spec.double_cover``, which the report reads."""
+    if spec.branch_poly.degree() < 3:
+        return spec.branch_poly.is_squarefree()
+    try:
+        spec.double_cover
+    except ValueError:  # the model's own squarefree check failed
+        return False
+    return True
 
 
 def genus_cover_tower(spec: FibrationSpec) -> tuple[int, int | None, int | None]:

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 from .curves import (
     EllipticCurveW,
-    HyperellipticModel,
     check_closed_form_bound,
     hasse_invariant,
     p_rank_hyperelliptic,
@@ -171,7 +170,7 @@ def build_report(spec: FibrationSpec, overrides: dict | None = None) -> CurveOrd
         if g_prime == 0:
             entries["Dp"] = CurveReportEntry(0, 0, None, COMPUTED)
         elif spec.rotation is Rotation.C2 and spec.branch_poly is not None:
-            model = HyperellipticModel(spec.branch_poly)
+            model = spec.double_cover
             if model.genus != g_prime:
                 raise AssertionError(
                     f"branch polynomial genus {model.genus} != tower genus {g_prime}"

@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line surface."""
 
+import hashlib
 import json
 import random
 import sys
@@ -292,6 +293,8 @@ def test_scan_computes_each_curve_fact_once_per_prime(tmp_path, monkeypatch, cap
     squarefree = count_calls(
         monkeypatch, "ffpoly", "FpPolynomial.is_squarefree", key=lambda f: f.field.p
     )
+    kernel = count_calls(monkeypatch, "ffpoly", "poly_pow_coeff", key=lambda f, *_: f.field.p)
+    fields = count_calls(monkeypatch, "ffpoly", "PrimeField.__init__", key=lambda _, p: p)
     doc = {"E": {"a": 1, "b": 1}, "branch": [1, 2, 0, 3, 0, 1, 1]}  # sextic: genus-2 D'
     path = write_spec(tmp_path, doc, name="scan.json")
     assert main(["scan", path, "--pmax", "60", "--format", "json"]) == EXIT_OK
@@ -299,7 +302,16 @@ def test_scan_computes_each_curve_fact_once_per_prime(tmp_path, monkeypatch, cap
     assert len(good) > 10
     for p in good:
         assert hasse[p] == 1, p
-        assert squarefree[p] <= 2, p
+        assert squarefree[p] == 1, p
+    # without a branch the remainder tree answers every prime: no prime gets a
+    # field, a Hasse invariant or a recurrence run of its own
+    for counter in (hasse, kernel, fields):
+        assert counter  # the branch scan reached each counted function
+        counter.clear()
+    path = write_spec(tmp_path, {"E": {"a": 1, "b": 1}}, name="scan-e.json")
+    assert main(["scan", path, "--pmax", "200", "--format", "json"]) == EXIT_OK
+    assert sum(row["good"] for row in json.loads(capsys.readouterr().out)["rows"]) > 40
+    assert not hasse and not kernel and not fields
 
 
 def test_decide_bad_override_syntax(tmp_path, capsys):
@@ -401,6 +413,22 @@ def test_scan_at_the_advertised_limit_follows_deuring(tmp_path, capsys):
             assert hasse_invariant(curve) == point_count_oracle(curve)[1] % p, (a, b, p)
 
 
+# SHA-256 of `scan --format json --pmax 2200` as a Hasse invariant per prime
+# computes it
+PINNED_SCANS = (
+    ({"a": 0, "b": 12}, "4faac59d493948e7741dfc045762bcd060c69ae1b681f498b5b15bd6b64705fd"),
+    ({"a": -5, "b": 0}, "3e58d8e6b3688a6c8d18dba095a633cd099e8da223f058dd40d52ae356eaf87c"),
+    ({"a": -7, "b": -11}, "a13ae0950eb83ead2f67273e80ba5b142a2291581546a3711a0d27475c714b92"),
+)
+
+
+@pytest.mark.parametrize("curve, digest", PINNED_SCANS, ids=("j0", "j1728", "generic"))
+def test_scan_bytes_are_pinned(tmp_path, capsys, curve, digest):
+    path = write_spec(tmp_path, {"E": curve}, name="scan.json")
+    assert main(["scan", path, "--pmax", "2200", "--format", "json"]) == EXIT_OK
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_scan_pmax_bound(tmp_path, capsys):
     path = write_spec(tmp_path, {"E": {"a": 0, "b": 1}}, name="scan.json")
     code = main(["scan", path, "--pmax", "20000"])
@@ -420,14 +448,18 @@ def test_scan_flags_bad_reduction_of_curve_and_branch(tmp_path, capsys):
 
 
 def test_decide_refuses_hasse_invariant_beyond_closed_form_bound(tmp_path, capsys):
-    doc = {"p": 1000003, "R": "C2", "ram": {"a2": 4}, "E": {"a": 1, "b": 1}}
+    # (p - 1)/2 recurrence steps of one digit: 1000001 > RECURRENCE_MAX_WORK
+    doc = {"p": 2000003, "R": "C2", "ram": {"a2": 4}, "E": {"a": 1, "b": 1}}
     start = perf_counter()
     code = main(["decide", write_spec(tmp_path, doc), "--set", "Dp=1"])
     assert perf_counter() - start < 1.0
     captured = capsys.readouterr()
     assert code == EXIT_ORACLE_BOUND
     assert captured.out == ""
-    assert "closed form refused" in captured.err
+    assert "closed form refused: the recurrence takes 1000001 steps" in captured.err
+    doc["p"] = 100003  # 50001 steps: answered
+    assert main(["decide", write_spec(tmp_path, doc), "--set", "Dp=1"]) == EXIT_OK
+    assert "E: genus 1, p-rank" in capsys.readouterr().out
 
 
 def _branch_documents(tmp_path, degree):

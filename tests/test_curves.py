@@ -6,15 +6,17 @@ import pytest
 
 from isofib.curves import (
     BRANCH_MAX_DEGREE,
-    CLOSED_FORM_MAX_DEGREE,
+    RECURRENCE_MAX_WORK,
     EllipticCurveQ,
     EllipticCurveW,
     HyperellipticModel,
     OracleBoundError,
     cartier_manin,
     check_closed_form_bound,
+    check_recurrence_bound,
     hasse_invariant,
     j_invariant_and_aut,
+    ordinary_primes,
     p_rank_hyperelliptic,
     point_count_oracle,
     zeta_prank_oracle,
@@ -157,14 +159,23 @@ def test_hasse_invariant_matches_point_count_over_many_primes():
             assert hasse_invariant(e) == ap % p, (p, a, b)
 
 
-def test_closed_forms_refuse_beyond_degree_bound():
-    # 3 * (100003 - 1) / 2 and 6 * (50021 - 1) / 2 both exceed the bound
-    assert 3 * (99991 - 1) // 2 <= CLOSED_FORM_MAX_DEGREE < 3 * (100003 - 1) // 2
-    with pytest.raises(OracleBoundError, match="closed form refused"):
-        hasse_invariant(curve(100003, 1, 1))
-    sextic = hyper(50021, [1, 2, 0, 3, 0, 1, 1])
-    with pytest.raises(OracleBoundError, match="closed form refused"):
-        cartier_manin(sextic)
+def test_closed_forms_refuse_beyond_recurrence_bound():
+    # the Hasse invariant takes (p - 1)/2 steps of one p-adic digit: 999996 at
+    # p = 1999993, 1000001 at p = 2000003
+    assert (1999993 - 1) // 2 <= RECURRENCE_MAX_WORK < (2000003 - 1) // 2
+    for p in (100003, 1999993):
+        check_recurrence_bound(curve(p, 1, 1).rhs_poly(), (p - 1) // 2, (p - 1,))
+    with pytest.raises(OracleBoundError, match="the recurrence takes 1000001 steps"):
+        hasse_invariant(curve(2000003, 1, 1))
+    # a sextic's Cartier-Manin matrix takes p - 1 steps from each end
+    sextic = [1, 2, 0, 3, 0, 1, 1]
+    for p in (50021, 499979):
+        f = FpPolynomial(PrimeField(p), sextic)
+        check_recurrence_bound(f, (p - 1) // 2, [p * i - j for i in (1, 2) for j in (1, 2)])
+    with pytest.raises(OracleBoundError, match="the recurrence takes 1000016 steps"):
+        cartier_manin(hyper(500009, sextic))
+    with pytest.raises(OracleBoundError, match="the recurrence takes"):
+        p_rank_hyperelliptic(hyper(500009, sextic))
 
 
 def test_closed_forms_refuse_a_branch_beyond_degree_bound():
@@ -276,3 +287,57 @@ def test_bad_prime_detection_uses_integer_discriminant():
     e = EllipticCurveQ(-1, 0)  # 4*(-1)^3 = -4: bad at 2 only, but p>3 anyway
     assert e.has_good_reduction(5)
     assert not e.has_good_reduction(2)
+
+
+# (a, b): j = 0 and j = 1728 with both signs, generic curves with negative
+# coefficients, and coefficients built from small primes, so that p | a and
+# p | b both occur
+TREE_CURVES = (
+    (0, 1),
+    (0, -35),
+    (1, 0),
+    (-5, 0),
+    (-7, 6),
+    (5, -3),
+    (-40, -39),
+    (2 * 3 * 5 * 7 * 11 * 13, -17 * 19 * 23),
+    (-17 * 19 * 29, 5 * 7 * 11 * 13 * 31),
+)
+
+
+def _good_primes(e, pmax):
+    return [p for p in range(5, pmax + 1) if _is_prime(p) and e.has_good_reduction(p)]
+
+
+def _hasse_ordinary(e, p):
+    return hasse_invariant(e.reduce(PrimeField(p))) != 0
+
+
+@pytest.mark.parametrize("a, b", TREE_CURVES)
+def test_ordinary_primes_agree_with_the_hasse_invariant(a, b):
+    e = EllipticCurveQ(a, b)
+    primes = _good_primes(e, 3000)
+    assert len(primes) > 420
+    assert ordinary_primes(e, primes) == [_hasse_ordinary(e, p) for p in primes]
+
+
+def test_ordinary_primes_with_zero_one_and_two_primes():
+    e = EllipticCurveQ(1, 1)
+    for pmax, count in ((4, 0), (5, 1), (7, 2)):
+        primes = _good_primes(e, pmax)
+        assert len(primes) == count
+        assert ordinary_primes(e, primes) == [_hasse_ordinary(e, p) for p in primes]
+
+
+def test_ordinary_primes_with_four_thousand_digit_coefficients():
+    rng = random.Random(4000)
+    e = EllipticCurveQ(rng.randrange(10**3999, 10**4000), -rng.randrange(10**3999, 10**4000))
+    primes = _good_primes(e, 600)
+    assert ordinary_primes(e, primes) == [_hasse_ordinary(e, p) for p in primes]
+
+
+def test_ordinary_primes_refuses_bad_or_unordered_primes():
+    e = EllipticCurveQ(1, 1)  # 4 + 27 = 31
+    for primes in ([3], [5, 31], [7, 5], [5, 5]):
+        with pytest.raises(ValueError, match="increasing primes > 3 of good reduction"):
+            ordinary_primes(e, primes)

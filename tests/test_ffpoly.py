@@ -14,6 +14,7 @@ from isofib.ffpoly import (
     _is_prime,
     matrix_rank_det,
     poly_pow_coeff,
+    recurrence_work,
 )
 
 F5 = PrimeField(5)
@@ -158,6 +159,17 @@ def test_poly_pow_coeff_reads_every_cartier_entry():
             ks = [p * i - j for i in range(1, g + 1) for j in range(1, g + 1)]
             full = f**e
             assert poly_pow_coeff(f, e, ks) == tuple(full.coeff(k) for k in ks), (p, f.coeffs)
+
+
+def test_recurrence_work_counts_steps_times_digits():
+    f = FpPolynomial(F7, [1, 1])  # (1 + x)^20 has degree 20
+    assert recurrence_work(f, 20, (3,)) == 3  # three steps from the low end, one digit
+    assert recurrence_work(f, 20, (10,)) == 10 * 2  # ten steps pass p = 7: two digits
+    assert recurrence_work(f, 20, (3, 17)) == 3 + 3  # one run from each end
+    assert recurrence_work(f, 20, (0, 50, -1)) == 0  # g_0 alone, and out of range
+    assert recurrence_work(FpPolynomial.zero(F7), 3, (1,)) == 0
+    # the Hasse invariant: (p - 1)/2 steps down from the top of (x^3 + x + 1)^((p-1)/2)
+    assert recurrence_work(FpPolynomial(PrimeField(101), [1, 1, 0, 1]), 50, (100,)) == 50
 
 
 def test_poly_pow_matches_repeated_product():
