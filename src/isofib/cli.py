@@ -30,6 +30,7 @@ from .curves import (
     EllipticCurveQ,
     EllipticCurveW,
     OracleBoundError,
+    hyperelliptic_p_ranks,
     ordinary_primes,
 )
 from .ffpoly import FpPolynomial, PrimeField
@@ -535,28 +536,44 @@ def _scan_row(p: int, e_ord=None, dp_ord=None, verdict=None) -> dict:
     return {"p": p, "good": e_ord is not None, "E_ord": e_ord, "Dp_ord": dp_ord, "verdict": verdict}
 
 
-def _scan_one_prime(curve: EllipticCurveQ, branch: list[int], p: int) -> dict:
-    if not curve.has_good_reduction(p) or branch[-1] % p == 0:
-        return _scan_row(p)  # E is singular mod p, or the branch degree drops
-    field = PrimeField(p)
-    branch_p = FpPolynomial(field, branch)
-    a2 = branch_p.degree() + (branch_p.degree() % 2)
-    try:
-        spec = FibrationSpec(
+def _branch_rows(curve: EllipticCurveQ, branch: list[int], primes: list[int]) -> list[dict]:
+    """The rows of a scan of the order-2 chain with E and branch y^2 = branch.
+
+    A prime is bad where E is singular, the branch degree drops or the branch
+    is not squarefree; ``hyperelliptic_p_ranks`` and ``ordinary_primes`` give
+    D' and E at all the good primes at once.  The spec shape (C2 over the
+    line with the branch points of the branch) does not depend on p, so it
+    is built once, and ``decide`` applies its clause to the two ranks, once
+    per pair of ranks that occurs.
+    """
+    candidates = [p for p in primes if curve.has_good_reduction(p) and branch[-1] % p]
+    dp_ranks = dict(zip(candidates, hyperelliptic_p_ranks(branch, candidates)))
+    good = [p for p in candidates if dp_ranks[p] is not None]
+    e_ranks = dict(zip(good, (int(o) for o in ordinary_primes(curve, good))))
+    if good:
+        degree = len(branch) - 1
+        shape = FibrationSpec(
             rotation=Rotation.C2,
             translation=TranslationClass(1, 1),
             genus_base=0,
-            ram=RamificationData(a2=a2),
-            field=field,
-            e_model=curve.reduce(field),
-            branch_poly=branch_p,
+            ram=RamificationData(a2=degree + degree % 2),
+            field=PrimeField(good[0]),
         )
-    except ValidationError:
-        # with E and the degree of the branch polynomial both surviving
-        # reduction mod p, squarefreeness is the only rule this spec can break
-        return _scan_row(p)
-    report = build_report(spec)
-    return _scan_row(p, report.e.ordinary, bool(report.dp.ordinary), decide(spec, report).ordinary)
+    answers = {}  # (E rank, D' rank) -> (E_ord, Dp_ord, verdict)
+    rows = []
+    for p in primes:
+        if p not in e_ranks:
+            rows.append(_scan_row(p))
+            continue
+        ranks = (e_ranks[p], dp_ranks[p])
+        if ranks not in answers:
+            # the shape carries no models: the ranks computed above stand in for them
+            report = build_report(shape, {"E": ranks[0], "Dp": ranks[1]})
+            answers[ranks] = (
+                report.e.ordinary, bool(report.dp.ordinary), decide(shape, report).ordinary
+            )
+        rows.append(_scan_row(p, *answers[ranks]))
+    return rows
 
 
 def cmd_scan(args) -> int:
@@ -569,7 +586,7 @@ def cmd_scan(args) -> int:
         e_ord = dict(zip(good, ordinary_primes(curve, good)))
         rows = [_scan_row(p, e_ord.get(p), None, e_ord.get(p)) for p in primes]
     else:
-        rows = [_scan_one_prime(curve, branch, p) for p in primes]
+        rows = _branch_rows(curve, branch, primes)
     good = [r for r in rows if r["good"]]
     ordinary = [r for r in good if r["verdict"]]
     fraction = Fraction(len(ordinary), len(good)) if good else None

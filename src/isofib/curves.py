@@ -9,16 +9,20 @@ Two routes to every ordinarity fact:
   turned into the numerator of the zeta function, whose reduction mod p has
   degree equal to the p-rank.
 
-A scan asks for the Hasse invariant of one integral model at every prime up
-to a bound.  ``ordinary_primes`` answers all of them from one accumulating
-remainder tree (Harvey, Ann. Math. 2014; Harvey-Sutherland, ANTS 2014): a
-product tree of 3x3 integer matrices goes up, one vector per node comes
-down, and no prime runs a recurrence of its own.  The matrices' entries stay
-below the product L of the primes, about 1.44 p_max bits, so the tree costs
-a few dozen products of numbers of at most that size per prime: about
-40 ms to p_max = 10^4 for coefficients of a few digits, and about 8 s for
-coefficients of 13000 bits, which are reduced modulo L.  The scan's
-own bound on p_max bounds it.
+A scan asks for these facts at every prime up to a bound, and
+``ffpoly.half_power_windows`` answers each of them for all primes from one
+run: one run modulo the product of the primes still to be read replaces a
+recurrence per prime.  ``ordinary_primes`` reads E's Hasse invariant from one
+run; ``hyperelliptic_p_ranks`` reads every Cartier-Manin row within 2p of
+either end of f^((p-1)/2) from one run of h = f/x^v and one of rev(h), so a
+curve of genus at most 4 costs two runs.  The rows deeper than that (genus 5
+and up), and the low rows at the finitely many primes dividing h(0), come
+from ``poly_pow_coeff`` at that prime alone; squarefreeness mod p comes from
+Res(f, f') once.  A run takes O(p_max) steps on numbers of about 1.44 p_max
+bits (twice that for a row beyond p).  On a shared 2-vCPU x86-64 host
+(uncalibrated, one run each), a scan to p_max = 10^4 takes about 0.1 s for
+E alone, 0.4 s with a sextic branch and 1.4 s with an octic one; E's run
+with coefficients of 13000 bits, reduced modulo the product, takes 1.4 s.
 
 The oracles enumerate and therefore carry hard input bounds.  The closed
 forms refuse an f of degree beyond ``BRANCH_MAX_DEGREE`` and coefficients
@@ -31,6 +35,7 @@ Exceeding a bound raises ``OracleBoundError`` rather than silently truncating.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .ffpoly import (
@@ -38,9 +43,14 @@ from .ffpoly import (
     FpMatrix,
     FpPolynomial,
     PrimeField,
+    half_power_windows,
+    integer_resultant,
+    matrix_power_mod,
     matrix_rank_det,
     poly_pow_coeff,
+    rank_det_mod,
     recurrence_work,
+    recurrence_work_mod,
 )
 
 POINT_COUNT_MAX_P = 10_000
@@ -163,7 +173,10 @@ def check_recurrence_bound(f: FpPolynomial, e: int, ks) -> None:
     ks of f^e whose recurrence takes more than RECURRENCE_MAX_WORK steps
     times p-adic digits; for the Hasse invariant that is p > 2 * 10^6 + 1."""
     _check_branch_degree(f)
-    work = recurrence_work(f, e, ks)
+    _check_work(recurrence_work(f, e, ks))
+
+
+def _check_work(work: int) -> None:
     if work > RECURRENCE_MAX_WORK:
         raise OracleBoundError(
             f"closed form refused: the recurrence takes {work} steps x p-adic digits, "
@@ -180,59 +193,14 @@ def hasse_invariant(curve: EllipticCurveW) -> int:
     return poly_pow_coeff(f, e, ks)[0]
 
 
-def _companion_run(a4: int, b4: int, lo: int, hi: int) -> tuple[int, ...]:
-    """M(hi) ... M(lo + 1) of ``ordinary_primes``, row-major; a4 = -4a, b4 = -4b.
-
-    M(n) shifts the rows down and writes x_n row_1 + y_n row_2 on top.
-    """
-    r0, r1, r2 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
-    for n in range(lo + 1, hi + 1):
-        x = a4 * (n - 1) ** 2
-        y = b4 * (n - 1) * (n - 2) * (2 * n - 3)
-        r0, r1, r2 = (x * r1[0] + y * r2[0], x * r1[1] + y * r2[1], x * r1[2] + y * r2[2]), r0, r1
-    return r0 + r1 + r2
-
-
-def _mat_mul(s: tuple[int, ...], t: tuple[int, ...]) -> tuple[int, ...]:
-    """The product s t of row-major 3x3 integer matrices."""
-    s0, s1, s2, s3, s4, s5, s6, s7, s8 = s
-    t0, t1, t2, t3, t4, t5, t6, t7, t8 = t
-    return (
-        s0 * t0 + s1 * t3 + s2 * t6, s0 * t1 + s1 * t4 + s2 * t7, s0 * t2 + s1 * t5 + s2 * t8,
-        s3 * t0 + s4 * t3 + s5 * t6, s3 * t1 + s4 * t4 + s5 * t7, s3 * t2 + s4 * t5 + s5 * t8,
-        s6 * t0 + s7 * t3 + s8 * t6, s6 * t1 + s7 * t4 + s8 * t7, s6 * t2 + s7 * t5 + s8 * t8,
-    )
-
-
-def _shrink(m: tuple[int, ...], modulus: int) -> tuple[int, ...]:
-    """m modulo modulus once an entry has outgrown it, else m itself."""
-    if max(abs(c) for c in m).bit_length() > modulus.bit_length():
-        return tuple(c % modulus for c in m)
-    return m
-
-
 def ordinary_primes(curve: EllipticCurveQ, primes) -> list[bool]:
     """Whether E mod p is ordinary, for each of the increasing primes p > 3 of
-    good reduction, all from one accumulating remainder tree.
+    good reduction, all from one run of ``half_power_windows``.
 
     With m = (p-1)/2 and r = 1 + ax^2 + bx^3 the reversal of x^3 + ax + b,
-    the Hasse invariant c_(p-1)((x^3+ax+b)^m) is c_m(r^m), and r(0) = 1.
-    Since m = -1/2 mod p, g = r^m obeys 2n g_n = (2-2n) a g_(n-2) +
-    (3-2n) b g_(n-3) mod p for n < p, the same recurrence for every p.  With
-    D_n = 2^n n!, the vectors w_n = (D_n g_n, D_(n-1) g_(n-1), D_(n-2) g_(n-2))
-    step by the integer companion matrices M(n) = [[0, x_n, y_n], [1, 0, 0],
-    [0, 1, 0]], x_n = -4(n-1)^2 a, y_n = -4(n-1)(n-2)(2n-3) b, from
-    w_0 = (1, 0, 0).  D_m is a unit mod p, so p is ordinary iff
-    [M(m) ... M(1) w_0]_0 is nonzero mod p: no prime needs a division, and
-    p | b or b = 0 takes no route of its own.
-
-    Leaf i is the product of the M(n) between the stops m of primes i - 1 and
-    i.  The product tree over the leaves goes up; the vectors come down it,
-    each reduced modulo the product of the primes under its node, and leaf i
-    reads its prime's entry.  a and b enter as least-absolute residues mod the
-    product L of the primes, and a node is reduced modulo the product of the
-    primes that still read it once an entry outgrows that.  A prime of bad
-    reduction or out of order raises ValueError.
+    the Hasse invariant c_(p-1)((x^3+ax+b)^m) is c_m(r^m), and r(0) = 1, so
+    every prime reads the window of r^m at n = m.  A prime of bad reduction
+    or out of order raises ValueError.
     """
     primes = list(primes)
     for before, p in zip([3] + primes, primes):
@@ -240,56 +208,100 @@ def ordinary_primes(curve: EllipticCurveQ, primes) -> list[bool]:
             raise ValueError(
                 f"need increasing primes > 3 of good reduction, got {p} after {before}"
             )
-    k = len(primes)
-    if not k:
-        return []
-    suffix = [1] * (k + 1)  # suffix[i]: the product of primes[i:], the primes that read leaf i
-    for i in range(k - 1, -1, -1):
-        suffix[i] = primes[i] * suffix[i + 1]
-    half = suffix[0] // 2
-    a4, b4 = (-4 * ((c + half) % suffix[0] - half) for c in (curve.a, curve.b))
-    stops = [0] + [(p - 1) // 2 for p in primes]
-    # node i of level j covers leaves [i 2^j, (i+1) 2^j) and reads the product of their primes
-    levels = [
-        [_shrink(_companion_run(a4, b4, stops[i], stops[i + 1]), suffix[i]) for i in range(k)]
-    ]
-    moduli = [primes]
-    while len(levels[-1]) > 1:
-        below, below_moduli = levels[-1], moduli[-1]
-        width = 2 ** len(levels)
-        level, level_moduli = [], []
-        for i in range(0, len(below) - 1, 2):
-            end = (i // 2 + 1) * width
-            if end >= k:  # no prime after the node: nothing reads its product
-                level.append(None)
-            else:  # the primes from leaf `end` on read it whole
-                level.append(_shrink(_mat_mul(below[i + 1], below[i]), suffix[end]))
-            level_moduli.append(below_moduli[i] * below_moduli[i + 1])
-        if len(below) % 2:
-            level.append(below[-1])
-            level_moduli.append(below_moduli[-1])
-        levels.append(level)
-        moduli.append(level_moduli)
-    vectors = [(1, 0, 0)]
-    for level, level_moduli in zip(levels[-2::-1], moduli[-2::-1]):
-        below = []
-        for i, (v0, v1, v2) in enumerate(vectors):
-            q = level_moduli[2 * i]
-            below.append((v0 % q, v1 % q, v2 % q))
-            if 2 * i + 1 < len(level):
-                s, q = level[2 * i], level_moduli[2 * i + 1]
-                below.append(
-                    (
-                        (s[0] * v0 + s[1] * v1 + s[2] * v2) % q,
-                        (s[3] * v0 + s[4] * v1 + s[5] * v2) % q,
-                        (s[6] * v0 + s[7] * v1 + s[8] * v2) % q,
-                    )
-                )
-        vectors = below
-    return [
-        (s[0] * v0 + s[1] * v1 + s[2] * v2) % p != 0
-        for s, (v0, v1, v2), p in zip(levels[0], vectors, primes)
-    ]
+    windows = half_power_windows((1, 0, curve.a, curve.b), [(p, (p - 1) // 2) for p in primes])
+    return [window[0] != 0 for window in windows]
+
+
+def hyperelliptic_p_ranks(f, primes) -> list[int | None]:
+    """The p-rank of y^2 = f(x) at each of the increasing primes p > 3, or
+    None where f mod p is not squarefree.  No model is built, and a field
+    only at a prime that reads a row alone (see ``_cartier_rows``) or whose
+    entries exceed the recurrence bound.
+
+    f is an integer polynomial, lowest degree first, of degree 1 to
+    BRANCH_MAX_DEGREE, and no prime may divide its leading coefficient.
+    Squarefreeness comes from Res(f, f') once: for p not dividing lc(f),
+    f mod p is squarefree iff p does not divide it (computed on f reduced
+    mod the product of the primes, which leaves it unchanged mod each).  Before that, every
+    prime is held to RECURRENCE_MAX_WORK for the Cartier-Manin entries
+    ``cartier_manin`` reads, in order, so a scan beyond the bound is refused
+    before any run.  The entries then come from ``_cartier_rows``.
+    """
+    f = tuple(f)
+    degree = len(f) - 1
+    if degree > BRANCH_MAX_DEGREE:
+        raise OracleBoundError(
+            f"closed form refused: f has degree {degree}, exceeding bound {BRANCH_MAX_DEGREE}"
+        )
+    primes = list(primes)
+    for before, p in zip([3] + primes, primes):
+        if p <= before or f[-1] % p == 0:
+            raise ValueError(
+                f"need increasing primes > 3 not dividing lc(f), got {p} after {before}"
+            )
+    g = (degree - 1) // 2
+    for p in primes if g else ():  # genus 0 reads no entry
+        e = (p - 1) // 2
+        if degree * e * (1 + degree * e // (p - 1)) <= RECURRENCE_MAX_WORK:
+            continue  # at most deg f^e steps, each of at most this many p-adic digits
+        ks = [p * i - j for i in range(1, g + 1) for j in range(1, g + 1)]
+        work = recurrence_work_mod(tuple(c % p for c in f), p, e, ks)
+        # only a prime where f is squarefree would have read the entries
+        if work > RECURRENCE_MAX_WORK and FpPolynomial(PrimeField(p), f).is_squarefree():
+            _check_work(work)
+    # f reduced mod the product of the primes: its resultant agrees with
+    # Res(f, f') mod every prime, and its entries stay near the product's size
+    product = math.prod(primes)
+    reduced = [(c + product // 2) % product - product // 2 for c in f]
+    discriminant = integer_resultant(reduced, [i * c for i, c in enumerate(reduced)][1:])
+    good = [p for p in primes if discriminant % p]
+    ranks = dict.fromkeys(good, 0)
+    if g:
+        for p, rows in zip(good, _cartier_rows(f, good)):
+            ranks[p] = rank_det_mod(matrix_power_mod(rows, g, p), g, p)[0]
+    return [ranks.get(p) for p in primes]
+
+
+def _cartier_rows(f: tuple[int, ...], primes) -> list[list[list[int]]]:
+    """The Cartier-Manin matrix of y^2 = f(x) mod each prime, as rows.
+
+    With f = x^v h, d = deg f and e = (p-1)/2, row i holds c_(pi-j)(f^e) for
+    j = 1..g.  It is the window of h^e at n = pi - 1 - ve, or the reversed
+    window of rev(h)^e at n = de - pi + g.  Each row is read from the end
+    where its n is shallower (n < p, then n < 2p), and all primes share one
+    ``half_power_windows`` run per end, so a genus-4 curve or smaller costs
+    two runs.  A row deeper than 2p at both ends (genus 5 and up), and a row
+    of the low end at a prime dividing h(0), comes from ``poly_pow_coeff``
+    at that prime alone.
+    """
+    d = len(f) - 1
+    g = (d - 1) // 2
+    v = next(i for i, c in enumerate(f) if c)
+    h = f[v:]
+    matrices = [[None] * g for _ in primes]
+    reads = {False: [], True: []}  # from the top end?: [(p, n)]
+    places = {False: [], True: []}  # [(matrix, row)]
+    for at, p in enumerate(primes):
+        e = (p - 1) // 2
+        alone = []  # rows this prime reads on its own
+        for i in range(1, g + 1):
+            low, top = p * i - 1 - v * e, d * e - p * i + g
+            from_top = (top // p, top) < (low // p, low)
+            n = top if from_top else low
+            if n >= 2 * p or (not from_top and h[0] % p == 0):
+                alone.append(i)
+            else:
+                reads[from_top].append((p, n))
+                places[from_top].append((at, i))
+        if alone:
+            ks = [p * i - j for i in alone for j in range(1, g + 1)]
+            entries = poly_pow_coeff(FpPolynomial(PrimeField(p), f), e, ks)
+            for k, i in enumerate(alone):
+                matrices[at][i - 1] = list(entries[k * g : (k + 1) * g])
+    for from_top, poly in ((False, h), (True, h[::-1])):
+        for (at, i), window in zip(places[from_top], half_power_windows(poly, reads[from_top])):
+            matrices[at][i - 1] = list(window[:g][::-1] if from_top else window[:g])
+    return matrices
 
 
 def point_count_oracle(curve: EllipticCurveW) -> tuple[int, int]:

@@ -13,6 +13,14 @@ kernel and one squarefree test.  A few coefficients of f^e come from
 its high end or both, and builds no power.  ``is_squarefree`` runs Euclid on
 the coefficient lists of f and f'.
 
+Scans ask for the same coefficients of h^((p-1)/2) at every prime up to a
+bound.  ``half_power_windows`` answers them all from one run of an integer
+recurrence that is the same for every p, modulo the product of the primes
+still to be read (p^2 for an index between p and 2p).
+``integer_resultant`` gives Res(f, f') once, so that a scan knows where
+f mod p is squarefree without a test per prime.  The matrix helpers work on
+plain integer rows mod p, for callers that build no field.
+
 The quadratic extension GF(p^2) is realized as GF(p)[w]/(w^2 - n) with n the
 smallest positive quadratic non-residue mod p, chosen deterministically so
 that runs are reproducible.  Elements are pairs ``(a, b)`` meaning a + b*w.
@@ -20,6 +28,7 @@ that runs are reproducible.  Elements are pairs ``(a, b)`` meaning a + b*w.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -284,15 +293,14 @@ def _power_series_head(h: tuple[int, ...], e: int, n: int, p: int) -> list[int]:
     return [c % p for c in g[width:]]
 
 
-def _runs(f: FpPolynomial, e: int, ks) -> tuple[tuple[int, ...], int, list[int], int, int]:
-    """How poly_pow_coeff reads ks from a nonzero f: (h, top, shifted, low, high).
+def _runs(coeffs: tuple[int, ...], e: int, ks) -> tuple[tuple[int, ...], int, list[int], int, int]:
+    """How poly_pow_coeff reads ks from nonzero coefficients f: (h, top, shifted, low, high).
 
     f = x^v h with h(0) != 0, top = deg h^e, and shifted holds the indices
     k - ve.  The run from h takes low steps and reads the indices up to low;
     the run from rev(h) takes high steps and reads the rest (-1: no run).
     The cut between them is where the two take the fewest steps together.
     """
-    coeffs = f.coeffs
     v = next(i for i, c in enumerate(coeffs) if c)
     h = coeffs[v:]
     top = (len(h) - 1) * e
@@ -322,7 +330,7 @@ def poly_pow_coeff(f: FpPolynomial, e: int, ks) -> tuple[int, ...]:
         raise ValueError("negative polynomial power")
     if not f.coeffs:
         return tuple(int(e == 0 and k == 0) for k in ks)
-    h, top, shifted, low_steps, high_steps = _runs(f, e, ks)
+    h, top, shifted, low_steps, high_steps = _runs(f.coeffs, e, ks)
     p = f.field.p
     low = _power_series_head(h, e, low_steps, p) if low_steps >= 0 else []
     high = _power_series_head(h[::-1], e, high_steps, p) if high_steps >= 0 else []
@@ -337,12 +345,162 @@ def recurrence_work(f: FpPolynomial, e: int, ks) -> int:
     A step costs one product per nonzero coefficient of f, on integers of
     that many digits, so for a given f the kernel's time grows with this.
     """
+    return recurrence_work_mod(f.coeffs, f.field.p, e, ks)
+
+
+def recurrence_work_mod(coeffs: tuple[int, ...], p: int, e: int, ks) -> int:
+    """recurrence_work for the polynomial with the given residues mod p,
+    lowest degree first and without trailing zeros; no field is built."""
     if e < 0:
         raise ValueError("negative polynomial power")
-    if not f.coeffs:
+    if not coeffs:
         return 0
-    _, _, _, low, high = _runs(f, e, ks)
-    return sum(n * _padic_digits(n, f.field.p) for n in (low, high) if n > 0)
+    _, _, _, low, high = _runs(coeffs, e, ks)
+    return sum(n * _padic_digits(n, p) for n in (low, high) if n > 0)
+
+
+def half_power_windows(h, reads) -> list[tuple[int, ...]]:
+    """Coefficient windows of h^((p-1)/2) mod p for many primes p, from one run.
+
+    h is an integer polynomial, lowest degree first, of degree m >= 1 with
+    h(0) != 0.  Each read (p, n) names an odd prime p not dividing h(0) and
+    an index n < 2p; its answer is the window (g_n, g_(n-1), ..., g_(n-m+1))
+    mod p of g = h^((p-1)/2), with 0 at negative indices.
+
+    With e = (eps - 1)/2 and eps standing for p, G_n = (2h_0)^n n! g_n / h_0^e
+    obeys G_0 = 1 and G_n = sum_k ((eps+1)k - 2n) h_k (2h_0)^(k-1)
+    (n-1)(n-2)...(n-k+1) G_(n-k): integer coefficients, linear in eps and the
+    same for every prime.  The run writes G_n = A_n + eps B_n and steps both
+    parts once for all primes.  A read at n < p needs A_n mod p alone, where
+    S_n = (2h_0)^n n! is a unit and g_n = h_0^e A_n / S_n.  A read at
+    p <= n < 2p needs G_n mod p^2 = A_n + p B_n: there G_n and S_n are each
+    divisible by p exactly once, and g_n = h_0^e (G_n/p) / (S_n/p) mod p.
+
+    A and B run modulo the product of p^depth (depth 1 or 2 by the prime's
+    deepest read) over the primes still waiting to be read, so the modulus
+    shrinks as primes are read, and B stops once no depth-2 read is left.
+    The coefficients enter as least-absolute residues mod that product, and
+    again mod the smaller product once they outgrow it, so a step multiplies
+    each window entry by a small integer when h has small coefficients.  A read whose prime is even, divides h(0) or lies at
+    n >= 2p raises ValueError.
+    """
+    h = list(h)
+    while h and not h[-1]:
+        h.pop()
+    m = len(h) - 1
+    if m < 1 or not h[0]:
+        raise ValueError(f"need a nonconstant integer polynomial with h(0) != 0, got {h}")
+    h0, two_h0 = h[0], 2 * h[0]
+    reads = list(reads)
+    depth: dict[int, int] = {}
+    last: dict[int, int] = {}
+    at: dict[int, list[int]] = {}
+    for r, (p, n) in enumerate(reads):
+        if p < 3 or p % 2 == 0 or h0 % p == 0 or n >= 2 * p:
+            raise ValueError(
+                f"need an odd prime p not dividing h(0) = {h0} and n < 2p, got read ({p}, {n})"
+            )
+        if n >= 0:
+            depth[p] = max(depth.get(p, 1), 2 if n >= p else 1)
+            last[p] = max(last.get(p, 0), n)
+            at.setdefault(n, []).append(r)
+    windows = [(0,) * m] * len(reads)
+    if not depth:
+        return windows
+    leave: dict[int, list[int]] = {}
+    for p, n in last.items():
+        leave.setdefault(n, []).append(p)
+    modulus = math.prod(p**k for p, k in depth.items())
+    deep = sum(k == 2 for k in depth.values())  # primes still to read at depth 2
+
+    def residues(terms: list[tuple[int, int]]) -> tuple[list[tuple[int, int]], int]:
+        half = modulus // 2
+        terms = [(k, (w + half) % modulus - half) for k, w in terms]
+        return terms, max(abs(w) for _, w in terms).bit_length()
+
+    terms, power = [], 1  # power = (2 h_0)^(k-1) mod the product
+    for k, c in enumerate(h[1:], 1):
+        if c:
+            terms.append((k, c * power))
+        power = power * two_h0 % modulus
+    terms, term_bits = residues(terms)
+    a_win, b_win, s = [0] * (m - 1) + [1], [0] * m, 1  # the last m values of A and B; S_n
+    for n in range(max(last.values()) + 1):
+        if n:
+            sa = sb = 0
+            fall, j = 1, 1  # fall = (n-1)(n-2)...(n-j+1)
+            for k, w in terms:  # entry -k of a window is the value at n - k
+                while j < k:
+                    fall *= n - j
+                    j += 1
+                c = fall * w
+                a = a_win[-k]
+                t = (k - 2 * n) * c
+                sa += t * a
+                if deep:
+                    sb += t * b_win[-k] + k * c * a
+            a_win.append(sa % modulus)
+            del a_win[0]
+            if deep:
+                b_win.append(sb % modulus)
+                del b_win[0]
+            s = s * two_h0 * n % modulus
+        for r in at.get(n, ()):
+            p = reads[r][0]
+            power = p * p if n >= p else p
+            unit = s % power  # the unit part of S_n: S_n / p at depth 2
+            if n >= p:
+                if unit % p or not unit // p % p:
+                    raise AssertionError(f"S_{n} not divisible by {p} exactly once")
+                unit //= p
+            # h_0^e / (unit part of S_i) for i = n, n - 1, ..., stepping by S_i = 2 h_0 i S_(i-1)
+            factor = pow(h0, (p - 1) // 2, p) * pow(unit, -1, p) % p
+            window = []
+            for t in range(min(m, n + 1)):  # index i = n - t
+                i = n - t
+                if i >= p:
+                    g = (a_win[-1 - t] + p * b_win[-1 - t]) % power
+                    if g % p:
+                        raise AssertionError(f"G_{i} not divisible by {p}")
+                    g //= p
+                else:
+                    g = a_win[-1 - t] % p
+                window.append(g * factor % p)
+                factor = factor * two_h0 * (1 if i == p else i) % p
+            windows[r] = tuple(window) + (0,) * (m - len(window))
+        for p in leave.get(n, ()):
+            modulus //= p ** depth[p]
+            deep -= depth[p] == 2
+            if term_bits > modulus.bit_length() + 1:
+                terms, term_bits = residues(terms)
+    return windows
+
+
+def integer_resultant(f, g) -> int:
+    """Res(f, g) = det of the Sylvester matrix of integer polynomials f and g
+    (lowest degree first, nonzero leading coefficients), by fraction-free
+    elimination (Bareiss 1968): every entry stays an integer minor, and each
+    step divides exactly by the previous pivot."""
+    m, n = len(f) - 1, len(g) - 1
+    size = m + n
+    rows = [[0] * i + list(f[::-1]) + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + list(g[::-1]) + [0] * (m - 1 - i) for i in range(m)]
+    sign, previous = 1, 1
+    for k in range(size - 1):
+        if not rows[k][k]:
+            swap = next((r for r in range(k + 1, size) if rows[r][k]), None)
+            if swap is None:
+                return 0
+            rows[k], rows[swap] = rows[swap], rows[k]
+            sign = -sign
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        for row in rows[k + 1 :]:
+            c = row[k]
+            for j in range(k + 1, size):
+                row[j] = (pivot * row[j] - c * pivot_row[j]) // previous
+        previous = pivot
+    return sign * rows[-1][-1] if size else 1
 
 
 # ---------------------------------------------------------------------------
@@ -380,34 +538,17 @@ class FpMatrix:
             raise ValueError("matrices over different fields")
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        p = self.field.p
-        out = [
-            [
-                sum(self.entries[i][k] * other.entries[k][j] for k in range(self.cols)) % p
-                for j in range(other.cols)
-            ]
-            for i in range(self.rows)
-        ]
-        return FpMatrix(self.field, out)
+        return FpMatrix(self.field, matrix_mul_mod(self.entries, other.entries, self.field.p))
 
     def __pow__(self, e: int) -> "FpMatrix":
-        """Binary power; the first factor costs no multiply and squaring stops
-        when no bits of e remain, so M**2 is one product and M**3 two."""
+        """Binary power by ``matrix_power_mod``, so M**2 is one product and M**3 two."""
         if not self.is_square():
             raise ValueError("power of a non-square matrix")
         if e < 0:
             raise ValueError("negative matrix power")
         if e == 0:
             return FpMatrix.identity(self.field, self.rows)
-        result = None
-        base = self
-        while True:
-            if e & 1:
-                result = base if result is None else result * base
-            e >>= 1
-            if not e:
-                return result
-            base = base * base
+        return FpMatrix(self.field, matrix_power_mod(self.entries, e, self.field.p))
 
     def __repr__(self) -> str:
         return f"FpMatrix(p={self.field.p}, {self.rows}x{self.cols}, {self.entries})"
@@ -419,17 +560,44 @@ def matrix_rank_det(m: FpMatrix) -> tuple[int, int | None]:
     The determinant is None for non-square matrices; the empty 0x0 matrix has
     rank 0 and determinant 1.
     """
-    p = m.field.p
-    work = [list(row) for row in m.entries]
+    rank, det = rank_det_mod(m.entries, m.cols, m.field.p)
+    return (rank, det) if m.is_square() else (rank, None)
+
+
+def matrix_mul_mod(a, b, p: int) -> list[list[int]]:
+    """The product of integer matrices a and b, given as rows, mod p."""
+    columns = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, column)) % p for column in columns] for row in a]
+
+
+def matrix_power_mod(rows, e: int, p: int):
+    """rows^e mod p for a square integer matrix and e >= 1, by binary powering:
+    the first factor costs no product, and squaring stops once no bits of e
+    remain."""
+    result, base = None, rows
+    while True:
+        if e & 1:
+            result = base if result is None else matrix_mul_mod(result, base, p)
+        e >>= 1
+        if not e:
+            return result
+        base = matrix_mul_mod(base, base, p)
+
+
+def rank_det_mod(rows, cols: int, p: int) -> tuple[int, int]:
+    """Rank and determinant mod p of an integer matrix given as rows, by
+    Gaussian elimination; the determinant is 0 below full row rank."""
+    work = [[c % p for c in row] for row in rows]
+    nrows = len(work)
     rank = 0
     det = 1
     sign_swaps = 0
     col = 0
-    for row in range(m.rows):
+    for row in range(nrows):
         # find a pivot at or below `row` in some column >= col
         pivot_found = False
-        while col < m.cols and not pivot_found:
-            for r in range(row, m.rows):
+        while col < cols and not pivot_found:
+            for r in range(row, nrows):
                 if work[r][col] != 0:
                     if r != row:
                         work[row], work[r] = work[r], work[row]
@@ -444,15 +612,13 @@ def matrix_rank_det(m: FpMatrix) -> tuple[int, int | None]:
         pivot = work[row][col]
         det = (det * pivot) % p
         inv = pow(pivot, -1, p)
-        for r in range(row + 1, m.rows):
+        for r in range(row + 1, nrows):
             factor = (work[r][col] * inv) % p
             if factor:
-                for c in range(col, m.cols):
+                for c in range(col, cols):
                     work[r][c] = (work[r][c] - factor * work[row][c]) % p
         col += 1
-    if not m.is_square():
-        return rank, None
-    if rank < m.rows:
+    if rank < nrows:
         return rank, 0
     if sign_swaps % 2:
         det = (-det) % p

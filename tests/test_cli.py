@@ -20,8 +20,14 @@ from isofib.cli import (
     parse_spec_document,
     spec_to_document,
 )
-from isofib.curves import EllipticCurveW, hasse_invariant, point_count_oracle
-from isofib.ffpoly import PrimeField
+from isofib.curves import (
+    EllipticCurveW,
+    HyperellipticModel,
+    hasse_invariant,
+    p_rank_hyperelliptic,
+    point_count_oracle,
+)
+from isofib.ffpoly import FpPolynomial, PrimeField
 from isofib.fibration import Rotation
 
 from helpers import count_calls, random_squarefree_poly
@@ -289,29 +295,35 @@ def test_each_command_validates_the_spec_once(tmp_path, monkeypatch, capsys):
 
 
 def test_scan_computes_each_curve_fact_once_per_prime(tmp_path, monkeypatch, capsys):
-    hasse = count_calls(monkeypatch, "curves", "hasse_invariant", key=lambda e: e.field.p)
-    squarefree = count_calls(
-        monkeypatch, "ffpoly", "FpPolynomial.is_squarefree", key=lambda f: f.field.p
-    )
-    kernel = count_calls(monkeypatch, "ffpoly", "poly_pow_coeff", key=lambda f, *_: f.field.p)
-    fields = count_calls(monkeypatch, "ffpoly", "PrimeField.__init__", key=lambda _, p: p)
-    doc = {"E": {"a": 1, "b": 1}, "branch": [1, 2, 0, 3, 0, 1, 1]}  # sextic: genus-2 D'
+    per_prime = {
+        "hasse": count_calls(monkeypatch, "curves", "hasse_invariant", key=lambda e: e.field.p),
+        "cartier": count_calls(monkeypatch, "curves", "cartier_manin", key=lambda m: m.field.p),
+        "squarefree": count_calls(
+            monkeypatch, "ffpoly", "FpPolynomial.is_squarefree", key=lambda f: f.field.p
+        ),
+        "kernel": count_calls(monkeypatch, "ffpoly", "poly_pow_coeff", key=lambda f, *_: f.field.p),
+        "fields": count_calls(monkeypatch, "ffpoly", "PrimeField.__init__", key=lambda _, p: p),
+    }
+    specs = count_calls(monkeypatch, "fibration", "validate_spec")
+    # a sextic branch with f(0) = 35 (genus-2 D'): the runs answer every good
+    # prime; 5 and 7 divide h(0), so their low rows come from the kernel alone
+    doc = {"E": {"a": 1, "b": 1}, "branch": [35, 1, 0, 3, 0, 1, 1]}
     path = write_spec(tmp_path, doc, name="scan.json")
-    assert main(["scan", path, "--pmax", "60", "--format", "json"]) == EXIT_OK
+    assert main(["scan", path, "--pmax", "200", "--format", "json"]) == EXIT_OK
     good = [row["p"] for row in json.loads(capsys.readouterr().out)["rows"] if row["good"]]
-    assert len(good) > 10
-    for p in good:
-        assert hasse[p] == 1, p
-        assert squarefree[p] == 1, p
-    # without a branch the remainder tree answers every prime: no prime gets a
-    # field, a Hasse invariant or a recurrence run of its own
-    for counter in (hasse, kernel, fields):
-        assert counter  # the branch scan reached each counted function
+    assert len(good) > 40 and good[:2] == [5, 7]
+    assert not per_prime["hasse"] and not per_prime["cartier"] and not per_prime["squarefree"]
+    assert dict(per_prime["kernel"]) == {5: 1, 7: 1}
+    # a field for each kernel prime, and one for the spec shape at the first good prime
+    assert dict(per_prime["fields"]) == {5: 1 + 1, 7: 1}
+    assert specs[None] == 1
+    # without a branch the E run answers every prime alone
+    for counter in per_prime.values():
         counter.clear()
     path = write_spec(tmp_path, {"E": {"a": 1, "b": 1}}, name="scan-e.json")
     assert main(["scan", path, "--pmax", "200", "--format", "json"]) == EXIT_OK
     assert sum(row["good"] for row in json.loads(capsys.readouterr().out)["rows"]) > 40
-    assert not hasse and not kernel and not fields
+    assert not any(per_prime.values())
 
 
 def test_decide_bad_override_syntax(tmp_path, capsys):
@@ -413,20 +425,60 @@ def test_scan_at_the_advertised_limit_follows_deuring(tmp_path, capsys):
             assert hasse_invariant(curve) == point_count_oracle(curve)[1] % p, (a, b, p)
 
 
-# SHA-256 of `scan --format json --pmax 2200` as a Hasse invariant per prime
-# computes it
+# SHA-256 of `scan --format json --pmax N` as the per-prime route computed it
 PINNED_SCANS = (
-    ({"a": 0, "b": 12}, "4faac59d493948e7741dfc045762bcd060c69ae1b681f498b5b15bd6b64705fd"),
-    ({"a": -5, "b": 0}, "3e58d8e6b3688a6c8d18dba095a633cd099e8da223f058dd40d52ae356eaf87c"),
-    ({"a": -7, "b": -11}, "a13ae0950eb83ead2f67273e80ba5b142a2291581546a3711a0d27475c714b92"),
+    ({"E": {"a": 0, "b": 12}}, 2200,
+     "4faac59d493948e7741dfc045762bcd060c69ae1b681f498b5b15bd6b64705fd"),
+    ({"E": {"a": -5, "b": 0}}, 2200,
+     "3e58d8e6b3688a6c8d18dba095a633cd099e8da223f058dd40d52ae356eaf87c"),
+    ({"E": {"a": -7, "b": -11}}, 2200,
+     "a13ae0950eb83ead2f67273e80ba5b142a2291581546a3711a0d27475c714b92"),
+    # f(0) = 0
+    ({"E": {"a": 2, "b": -3}, "branch": [0, 3, -1, 4, 0, 2]}, 1000,
+     "e0a2d1e219d28add9b8899372be99a03e5669fb85a5dec00123ccc565df727c3"),
+    ({"E": {"a": -1, "b": 5}, "branch": [3, 1, -2, 5, 7, -1, 4]}, 800,
+     "ce4312f90176a9574cc85779a5624a01e62617f8b8d68fdba309d69113e7cab7"),
+    # 5 and 7 divide f(0)
+    ({"E": {"a": 0, "b": 7}, "branch": [35, -2, 0, 1, 3, 0, -1, 2]}, 640,
+     "48bdf482743b12499f2a61c1085bfc2929e16a39a2d7061b5b440804fdca99a9"),
+    ({"E": {"a": 6, "b": 0}, "branch": [-2, 5, 1, 0, -3, 2, 0, 1, 5]}, 700,
+     "0f14275115aa89a5ecb1fa613eef4ed4e11df53704386d5d1f18b99848832268"),
 )
 
 
-@pytest.mark.parametrize("curve, digest", PINNED_SCANS, ids=("j0", "j1728", "generic"))
-def test_scan_bytes_are_pinned(tmp_path, capsys, curve, digest):
-    path = write_spec(tmp_path, {"E": curve}, name="scan.json")
-    assert main(["scan", path, "--pmax", "2200", "--format", "json"]) == EXIT_OK
+@pytest.mark.parametrize(
+    "doc, pmax, digest",
+    PINNED_SCANS,
+    ids=("j0", "j1728", "generic", "quintic", "sextic", "heptic", "octic"),
+)
+def test_scan_bytes_are_pinned(tmp_path, capsys, doc, pmax, digest):
+    path = write_spec(tmp_path, doc, name="scan.json")
+    assert main(["scan", path, "--pmax", str(pmax), "--format", "json"]) == EXIT_OK
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_branch_scan_at_the_advertised_limit_matches_the_per_prime_p_rank(tmp_path, capsys):
+    doc = {"E": {"a": 1, "b": 3}, "branch": [1, 3, -2, 5, 7, -1, 4]}
+    path = write_spec(tmp_path, doc, name="scan.json")
+    assert main(["scan", path, "--pmax", str(SCAN_MAX_P), "--format", "json"]) == EXIT_OK
+    good = [row for row in json.loads(capsys.readouterr().out)["rows"] if row["good"]]
+    assert len(good) > 1200
+    for row in good[-10:]:
+        model = HyperellipticModel(FpPolynomial(PrimeField(row["p"]), doc["branch"]))
+        assert row["Dp_ord"] == (p_rank_hyperelliptic(model) == 2), row["p"]
+
+
+def test_branch_scan_refuses_beyond_the_recurrence_bound_before_any_run(tmp_path, capsys):
+    # the message names the work of the first good prime beyond the bound,
+    # with the indices cartier_manin reads there
+    _, scan, _ = _branch_documents(tmp_path, 100)
+    assert main(["scan", scan, "--pmax", str(SCAN_MAX_P)]) == EXIT_ORACLE_BOUND
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "oracle bound exceeded: closed form refused: the recurrence takes 1011846 steps "
+        "x p-adic digits, exceeding bound 1000000\n"
+    )
 
 
 def test_scan_pmax_bound(tmp_path, capsys):

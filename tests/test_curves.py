@@ -14,14 +14,22 @@ from isofib.curves import (
     cartier_manin,
     check_closed_form_bound,
     check_recurrence_bound,
+    _cartier_rows,
     hasse_invariant,
+    hyperelliptic_p_ranks,
     j_invariant_and_aut,
     ordinary_primes,
     p_rank_hyperelliptic,
     point_count_oracle,
     zeta_prank_oracle,
 )
-from isofib.ffpoly import FpPolynomial, PrimeField, _is_prime, matrix_rank_det
+from isofib.ffpoly import (
+    FpPolynomial,
+    PrimeField,
+    _is_prime,
+    integer_resultant,
+    matrix_rank_det,
+)
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -341,3 +349,88 @@ def test_ordinary_primes_refuses_bad_or_unordered_primes():
     for primes in ([3], [5, 31], [7, 5], [5, 5]):
         with pytest.raises(ValueError, match="increasing primes > 3 of good reduction"):
             ordinary_primes(e, primes)
+
+
+# branches of degree 5 to 8 (genus 2 and 3): f(0) = 0; h(0) = 3 and lc = 4;
+# sparse with 5 and 7 dividing h(0); h(0) = -2 and lc = 5
+SCAN_BRANCHES = (
+    (0, 3, -1, 4, 0, 2),
+    (3, 1, -2, 5, 7, -1, 4),
+    (35, -2, 0, 1, 3, 0, -1, 2),
+    (-2, 5, 1, 0, -3, 2, 0, 1, 5),
+)
+
+
+def _squarefree_primes(f, pmax):
+    return [
+        p for p in range(5, pmax + 1)
+        if _is_prime(p) and f[-1] % p and FpPolynomial(PrimeField(p), f).is_squarefree()
+    ]
+
+
+def _cartier_manin_rows(f, p):
+    return [list(row) for row in cartier_manin(hyper(p, f)).entries]
+
+
+@pytest.mark.parametrize("f", SCAN_BRANCHES, ids=("quintic", "sextic", "heptic", "octic"))
+def test_cartier_rows_agree_with_the_kernel_at_every_prime(f):
+    primes = _squarefree_primes(f, 3000)
+    assert len(primes) > 420
+    for p, rows in zip(primes, _cartier_rows(f, primes)):
+        assert rows == _cartier_manin_rows(f, p), (f, p)
+
+
+def test_cartier_rows_read_deep_rows_per_prime():
+    # genus 4 from both runs; genus 5 and 6 have rows deeper than 2p at both ends
+    rng = random.Random(29)
+    for degree in (9, 10, 11, 12, 13, 14):
+        f = tuple(rng.randrange(-9, 10) for _ in range(degree)) + (rng.choice((1, 3, -2)),)
+        primes = _squarefree_primes(f, 300)
+        for p, rows in zip(primes, _cartier_rows(f, primes)):
+            assert rows == _cartier_manin_rows(f, p), (f, p)
+
+
+# branches with repeated factors mod small primes
+REPEATED_MOD_P = (
+    (36, -30, 10, -13, -4, 1),  # (x - 1)(x - 6)(x^2 + 2)(x + 3): mod 5, 11, 19
+    (360, 342, -31, 60, 55, -17, 1),  # (x + 1)(x - 6)(x - 12)(x^3 + x + 5): mod 5, 7, 13, 97
+    (4, 0, 8, 0, 1, 3),  # (x^2 + 2)^2 + 3x^5: mod 5, 11, 97
+)
+
+
+def test_squarefree_by_the_discriminant_matches_is_squarefree():
+    for f in SCAN_BRANCHES + REPEATED_MOD_P:
+        discriminant = integer_resultant(f, [i * c for i, c in enumerate(f)][1:])
+        primes = [p for p in range(5, 2001) if _is_prime(p) and f[-1] % p]
+        ranks = hyperelliptic_p_ranks(f, primes)
+        for p, rank in zip(primes, ranks):
+            squarefree = FpPolynomial(PrimeField(p), f).is_squarefree()
+            assert (discriminant % p != 0) == squarefree == (rank is not None), (f, p)
+    assert hyperelliptic_p_ranks(REPEATED_MOD_P[0], [5, 7])[0] is None
+    assert hyperelliptic_p_ranks(REPEATED_MOD_P[1], [5, 7, 11, 13])[1::2] == [None, None]
+    square = (1, 0, 2, 0, 1)  # (x^2 + 1)^2
+    assert integer_resultant(square, (0, 4, 0, 4)) == 0
+    assert hyperelliptic_p_ranks(square, [5, 7, 11]) == [None, None, None]
+
+
+def test_hyperelliptic_p_ranks_match_the_model_p_rank():
+    rng = random.Random(31)
+    for degree in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10):
+        f = tuple(rng.randrange(-5, 6) for _ in range(degree)) + (rng.choice((1, 2, -3)),)
+        primes = [p for p in range(5, 400) if _is_prime(p) and f[-1] % p]
+        for p, rank in zip(primes, hyperelliptic_p_ranks(f, primes)):
+            fp = FpPolynomial(PrimeField(p), f)
+            if not fp.is_squarefree():
+                assert rank is None
+            elif degree < 3:
+                assert rank == 0  # genus 0
+            else:
+                assert rank == p_rank_hyperelliptic(HyperellipticModel(fp)), (f, p)
+
+
+def test_hyperelliptic_p_ranks_refuse_bad_input():
+    for primes in ([3], [5, 5], [7, 5], [5, 13]):  # 13 divides lc
+        with pytest.raises(ValueError, match="increasing primes > 3 not dividing lc"):
+            hyperelliptic_p_ranks((1, 0, 0, 2, 0, 13), primes)
+    with pytest.raises(OracleBoundError, match="f has degree 101, exceeding bound 100"):
+        hyperelliptic_p_ranks((1,) * 102, [5])

@@ -172,6 +172,87 @@ def test_recurrence_work_counts_steps_times_digits():
     assert recurrence_work(FpPolynomial(PrimeField(101), [1, 1, 0, 1]), 50, (100,)) == 50
 
 
+def test_recurrence_work_mod_needs_no_field():
+    rng = random.Random(19)
+    for p in (5, 7, 101, 2203):
+        for degree in range(9):
+            f = _random_poly(rng, PrimeField(p), degree)
+            e = (p - 1) // 2
+            ks = [rng.randrange(-5, degree * e + 5) for _ in range(6)]
+            assert ffpoly.recurrence_work_mod(f.coeffs, p, e, ks) == recurrence_work(f, e, ks)
+
+
+# integer polynomials: h(0) not +-1, non-monic, sparse, a unit h(0)
+WINDOW_POLYS = (
+    (3, 1, -2, 5, 7, -1, 4),
+    (-2, 0, 5, 1, 0, -3, 2, 0, 5),
+    (35, 0, 0, 0, 0, 0, 0, -1, 2),
+    (1, 0, 17, -23),
+    (6, 1),
+)
+
+
+def _kernel_window(h, p, n):
+    """(g_n, ..., g_(n-m+1)) of h^((p-1)/2) mod p from poly_pow_coeff."""
+    ks = [n - t for t in range(len(h) - 1)]
+    return poly_pow_coeff(FpPolynomial(PrimeField(p), h), (p - 1) // 2, ks)
+
+
+@pytest.mark.parametrize("h", WINDOW_POLYS)
+def test_half_power_windows_match_the_kernel_at_depth_one_and_two(h):
+    rng = random.Random(len(h))
+    reads = []
+    for p in (q for q in range(5, 600) if _is_prime(q) and h[0] % q):
+        m = len(h) - 1
+        ns = {0, m - 2, (p - 1) // 2, p - 1, p, p + m - 2, 2 * p - 1, rng.randrange(2 * p)}
+        reads += [(p, n) for n in sorted(ns) if 0 <= n < 2 * p]
+    rng.shuffle(reads)  # the reads may come in any order
+    got = ffpoly.half_power_windows(h, reads)
+    assert any(n >= p for p, n in reads) and any(n < p for p, n in reads)
+    for (p, n), window in zip(reads, got):
+        assert window == _kernel_window(h, p, n), (h, p, n)
+
+
+def test_half_power_windows_read_zeros_below_the_start():
+    h = (2, 3, 1)
+    assert ffpoly.half_power_windows(h, [(7, -1), (7, 0), (5, -4)]) == [
+        (0, 0), (pow(2, 3, 7), 0), (0, 0)
+    ]
+    assert ffpoly.half_power_windows(h, []) == []
+
+
+def test_half_power_windows_refuse_bad_reads():
+    for h, read in (
+        ((2, 3, 1), (4, 1)),  # even
+        ((10, 3, 1), (5, 1)),  # p divides h(0)
+        ((2, 3, 1), (7, 14)),  # n >= 2p
+        ((2, 3, 1), (2, 1)),
+    ):
+        with pytest.raises(ValueError, match="odd prime p not dividing h"):
+            ffpoly.half_power_windows(h, [(11, 3), read])
+    for h in ((5,), (0, 1, 1), (), (5, 0, 0)):
+        with pytest.raises(ValueError, match="nonconstant"):
+            ffpoly.half_power_windows(h, [(11, 3)])
+
+
+def test_integer_resultant_is_the_product_over_the_roots():
+    # f = lc * prod (x - r): Res(f, g) = lc^deg g * prod g(r)
+    rng = random.Random(23)
+    for _ in range(200):
+        roots = [rng.randrange(-6, 7) for _ in range(rng.randrange(1, 6))]
+        lc = rng.choice((1, -1, 2, 3, -5))
+        f = [lc]
+        for r in roots:  # multiply by (x - r), lowest degree first
+            f = [(f[i - 1] if i else 0) - r * (f[i] if i < len(f) else 0) for i in range(len(f) + 1)]
+        g = [rng.randrange(-9, 10) for _ in range(rng.randrange(0, 5))] + [rng.choice((1, -2, 3))]
+        value = lc ** (len(g) - 1)
+        for r in roots:
+            value *= sum(c * r**i for i, c in enumerate(g))
+        assert ffpoly.integer_resultant(f, g) == value, (f, g)
+    assert ffpoly.integer_resultant([3, 1], [7]) == 7
+    assert ffpoly.integer_resultant([0, 0, 1], [0, 2]) == 0  # x^2 and 2x share a root
+
+
 def test_poly_pow_matches_repeated_product():
     f = FpPolynomial(F5, [2, 3, 0, 1])
     acc = FpPolynomial.one(F5)
@@ -335,17 +416,17 @@ def test_matrix_power_is_the_repeated_product_with_fewest_multiplies(monkeypatch
     m = FpMatrix(F7, [[1, 2, 3], [4, 5, 6], [0, 1, 2]])
     acc = FpMatrix.identity(F7, 3)
     products = []
-    real_mul = FpMatrix.__mul__
+    real_mul = ffpoly.matrix_mul_mod
 
-    def recording_mul(a, b):
+    def recording_mul(a, b, p):
         products.append(None)
-        return real_mul(a, b)
+        return real_mul(a, b, p)
 
     for e in range(7):
-        monkeypatch.setattr(FpMatrix, "__mul__", recording_mul)
+        monkeypatch.setattr(ffpoly, "matrix_mul_mod", recording_mul)
         products.clear()
         powered = m**e
-        monkeypatch.setattr(FpMatrix, "__mul__", real_mul)
+        monkeypatch.setattr(ffpoly, "matrix_mul_mod", real_mul)
         assert powered == acc, e
         assert len(products) == (0, 0, 1, 2, 2, 3, 3)[e], e
         acc = acc * m
