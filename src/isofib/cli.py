@@ -531,6 +531,15 @@ def load_scan_document(path: str) -> tuple[EllipticCurveQ, list[int] | None]:
     return curve, branch
 
 
+_JSON_ROW = """    {
+      "Dp_ord": %s,
+      "E_ord": %s,
+      "good": %s,
+      "p": %d,
+      "verdict": %s
+    }"""
+
+
 def _scan_row(p: int, e_ord=None, dp_ord=None, verdict=None) -> dict:
     """One row of a scan; a prime without an E_ord value is a bad prime."""
     return {"p": p, "good": e_ord is not None, "E_ord": e_ord, "Dp_ord": dp_ord, "verdict": verdict}
@@ -592,13 +601,19 @@ def cmd_scan(args) -> int:
     fraction = Fraction(len(ordinary), len(good)) if good else None
 
     if args.format == "json":
-        payload = {
-            "rows": rows,
+        # the bytes of json.dumps(indent=2, sort_keys=True), whose indented
+        # encoder is pure Python: the summary through it, each row by template
+        summary = json.dumps({
             "good_primes": len(good),
             "ordinary_primes": len(ordinary),
             "ordinary_fraction": None if fraction is None else [fraction.numerator, fraction.denominator],
-        }
-        return _print_json(payload)
+        }, indent=2, sort_keys=True)
+        lit = {None: "null", False: "false", True: "true"}
+        text = ",\n".join(_JSON_ROW % (
+            lit[r["Dp_ord"]], lit[r["E_ord"]], lit[r["good"]], r["p"], lit[r["verdict"]]
+        ) for r in rows)
+        print(f'{summary[:-2]},\n  "rows": ' + (f"[\n{text}\n  ]" if rows else "[]") + "\n}")
+        return EXIT_OK
 
     def cell(value):
         if value is None:

@@ -208,7 +208,7 @@ def ordinary_primes(curve: EllipticCurveQ, primes) -> list[bool]:
             raise ValueError(
                 f"need increasing primes > 3 of good reduction, got {p} after {before}"
             )
-    windows = half_power_windows((1, 0, curve.a, curve.b), [(p, (p - 1) // 2) for p in primes])
+    windows = half_power_windows((1, 0, curve.a, curve.b), [(p, (p - 1) // 2) for p in primes], 1)
     return [window[0] != 0 for window in windows]
 
 
@@ -225,7 +225,8 @@ def hyperelliptic_p_ranks(f, primes) -> list[int | None]:
     mod the product of the primes, which leaves it unchanged mod each).  Before that, every
     prime is held to RECURRENCE_MAX_WORK for the Cartier-Manin entries
     ``cartier_manin`` reads, in order, so a scan beyond the bound is refused
-    before any run.  The entries then come from ``_cartier_rows``.
+    before any run.  The entries then come from ``_cartier_rows``.  Each
+    rank takes det M first and builds M^g only where det M = 0.
     """
     f = tuple(f)
     degree = len(f) - 1
@@ -249,16 +250,23 @@ def hyperelliptic_p_ranks(f, primes) -> list[int | None]:
         # only a prime where f is squarefree would have read the entries
         if work > RECURRENCE_MAX_WORK and FpPolynomial(PrimeField(p), f).is_squarefree():
             _check_work(work)
-    # f reduced mod the product of the primes: its resultant agrees with
-    # Res(f, f') mod every prime, and its entries stay near the product's size
+    # f reduced mod the product of the primes keeps its entries near the
+    # product's size; its resultant agrees with Res(f, f') mod every prime up
+    # to a unit power of lc(f) (f' loses its top where they all divide deg f)
     product = math.prod(primes)
     reduced = [(c + product // 2) % product - product // 2 for c in f]
-    discriminant = integer_resultant(reduced, [i * c for i, c in enumerate(reduced)][1:])
+    derivative = [i * c for i, c in enumerate(reduced)][1:]
+    while derivative and not derivative[-1]:
+        derivative.pop()
+    discriminant = integer_resultant(reduced, derivative) if primes and derivative else 0
     good = [p for p in primes if discriminant % p]
     ranks = dict.fromkeys(good, 0)
     if g:
         for p, rows in zip(good, _cartier_rows(f, good)):
-            ranks[p] = rank_det_mod(matrix_power_mod(rows, g, p), g, p)[0]
+            if rank_det_mod(rows, g, p)[1]:  # rank(M^g) = g exactly where det M is a unit
+                ranks[p] = g
+            else:
+                ranks[p] = rank_det_mod(matrix_power_mod(rows, g, p), g, p)[0]
     return [ranks.get(p) for p in primes]
 
 
@@ -299,8 +307,8 @@ def _cartier_rows(f: tuple[int, ...], primes) -> list[list[list[int]]]:
             for k, i in enumerate(alone):
                 matrices[at][i - 1] = list(entries[k * g : (k + 1) * g])
     for from_top, poly in ((False, h), (True, h[::-1])):
-        for (at, i), window in zip(places[from_top], half_power_windows(poly, reads[from_top])):
-            matrices[at][i - 1] = list(window[:g][::-1] if from_top else window[:g])
+        for (at, i), window in zip(places[from_top], half_power_windows(poly, reads[from_top], g)):
+            matrices[at][i - 1] = list(window[::-1] if from_top else window)
     return matrices
 
 
@@ -331,11 +339,11 @@ def cartier_manin(model: HyperellipticModel) -> FpMatrix:
 
 
 def p_rank_hyperelliptic(model: HyperellipticModel) -> int:
-    """p-rank of the Jacobian over the prime field: rank of M^g for the Cartier matrix M."""
+    """p-rank of the Jacobian over the prime field: rank of M^g for the Cartier matrix M,
+    which is g where det M != 0 and is read from M^g only where det M = 0."""
     g = model.genus
     m = cartier_manin(model)
-    rank, _ = matrix_rank_det(m**g)
-    return rank
+    return g if matrix_rank_det(m)[1] else matrix_rank_det(m**g)[0]
 
 
 def _affine_count_prime(f: FpPolynomial) -> int:

@@ -16,9 +16,10 @@ the coefficient lists of f and f'.
 Scans ask for the same coefficients of h^((p-1)/2) at every prime up to a
 bound.  ``half_power_windows`` answers them all from one run of an integer
 recurrence that is the same for every p, modulo the product of the primes
-still to be read (p^2 for an index between p and 2p).
-``integer_resultant`` gives Res(f, f') once, so that a scan knows where
-f mod p is squarefree without a test per prime.  The matrix helpers work on
+still to be read (p^2 for an index between p and 2p), and computes only the
+entries each read asks for; h = H(x^d) runs as H.  ``integer_resultant``
+gives Res(f, f') once by subresultants, so that a scan knows where f mod p
+is squarefree without a test per prime.  The matrix helpers work on
 plain integer rows mod p, for callers that build no field.
 
 The quadratic extension GF(p^2) is realized as GF(p)[w]/(w^2 - n) with n the
@@ -359,13 +360,14 @@ def recurrence_work_mod(coeffs: tuple[int, ...], p: int, e: int, ks) -> int:
     return sum(n * _padic_digits(n, p) for n in (low, high) if n > 0)
 
 
-def half_power_windows(h, reads) -> list[tuple[int, ...]]:
+def half_power_windows(h, reads, width: int) -> list[tuple[int, ...]]:
     """Coefficient windows of h^((p-1)/2) mod p for many primes p, from one run.
 
     h is an integer polynomial, lowest degree first, of degree m >= 1 with
-    h(0) != 0.  Each read (p, n) names an odd prime p not dividing h(0) and
-    an index n < 2p; its answer is the window (g_n, g_(n-1), ..., g_(n-m+1))
-    mod p of g = h^((p-1)/2), with 0 at negative indices.
+    h(0) != 0, and 0 <= width <= m.  Each read (p, n) names an odd prime p
+    not dividing h(0) and an index n < 2p.  Its answer is the window
+    (g_n, g_(n-1), ..., g_(n-width+1)) mod p of g = h^((p-1)/2), with 0 at
+    negative indices; only those entries are computed.
 
     With e = (eps - 1)/2 and eps standing for p, G_n = (2h_0)^n n! g_n / h_0^e
     obeys G_0 = 1 and G_n = sum_k ((eps+1)k - 2n) h_k (2h_0)^(k-1)
@@ -379,10 +381,16 @@ def half_power_windows(h, reads) -> list[tuple[int, ...]]:
     A and B run modulo the product of p^depth (depth 1 or 2 by the prime's
     deepest read) over the primes still waiting to be read, so the modulus
     shrinks as primes are read, and B stops once no depth-2 read is left.
-    The coefficients enter as least-absolute residues mod that product, and
-    again mod the smaller product once they outgrow it, so a step multiplies
-    each window entry by a small integer when h has small coefficients.  A read whose prime is even, divides h(0) or lies at
-    n >= 2p raises ValueError.
+    (B_n mod p would do, but reducing B mod the smaller product of the depth-2
+    primes is a long division, quadratic in its size, at every step.)  The
+    coefficients enter as least-absolute residues mod that product, and again
+    mod the smaller product once they outgrow it, so a step multiplies each
+    window entry by a small integer when h has small coefficients.
+
+    Where h = H(x^d), d > 1, g_n is c_(n/d)(H^e) for d | n and 0 otherwise:
+    the run is one of H at n // d < p, and a read whose window holds no
+    multiple of d is not run.  A read whose prime is even, divides h(0) or
+    lies at n >= 2p raises ValueError.
     """
     h = list(h)
     while h and not h[-1]:
@@ -390,21 +398,34 @@ def half_power_windows(h, reads) -> list[tuple[int, ...]]:
     m = len(h) - 1
     if m < 1 or not h[0]:
         raise ValueError(f"need a nonconstant integer polynomial with h(0) != 0, got {h}")
+    if not 0 <= width <= m:
+        raise ValueError(f"need a window width from 0 to deg h = {m}, got {width}")
     h0, two_h0 = h[0], 2 * h[0]
     reads = list(reads)
-    depth: dict[int, int] = {}
-    last: dict[int, int] = {}
-    at: dict[int, list[int]] = {}
-    for r, (p, n) in enumerate(reads):
+    for p, n in reads:
         if p < 3 or p % 2 == 0 or h0 % p == 0 or n >= 2 * p:
             raise ValueError(
                 f"need an odd prime p not dividing h(0) = {h0} and n < 2p, got read ({p}, {n})"
             )
+    windows = [(0,) * width] * len(reads)
+    d = math.gcd(*(k for k, c in enumerate(h) if k and c))
+    if d > 1:  # h = H(x^d): a window's multiples of d lie in the window of H^e at n // d
+        run = [r for r, (_, n) in enumerate(reads) if n >= 0 and n // d * d > n - width]
+        span = -(-width // d)  # ceil(width / d) entries of H^e
+        found = half_power_windows(h[::d], [(reads[r][0], reads[r][1] // d) for r in run], span)
+        for r, window in zip(run, found):
+            n = reads[r][1]
+            windows[r] = tuple(0 if i % d else window[n // d - i // d]
+                               for i in range(n, n - width, -1))
+        return windows
+    depth: dict[int, int] = {}
+    last: dict[int, int] = {}
+    at: dict[int, list[int]] = {}
+    for r, (p, n) in enumerate(reads):
         if n >= 0:
             depth[p] = max(depth.get(p, 1), 2 if n >= p else 1)
             last[p] = max(last.get(p, 0), n)
             at.setdefault(n, []).append(r)
-    windows = [(0,) * m] * len(reads)
     if not depth:
         return windows
     leave: dict[int, list[int]] = {}
@@ -456,7 +477,7 @@ def half_power_windows(h, reads) -> list[tuple[int, ...]]:
             # h_0^e / (unit part of S_i) for i = n, n - 1, ..., stepping by S_i = 2 h_0 i S_(i-1)
             factor = pow(h0, (p - 1) // 2, p) * pow(unit, -1, p) % p
             window = []
-            for t in range(min(m, n + 1)):  # index i = n - t
+            for t in range(min(width, n + 1)):  # index i = n - t
                 i = n - t
                 if i >= p:
                     g = (a_win[-1 - t] + p * b_win[-1 - t]) % power
@@ -467,7 +488,7 @@ def half_power_windows(h, reads) -> list[tuple[int, ...]]:
                     g = a_win[-1 - t] % p
                 window.append(g * factor % p)
                 factor = factor * two_h0 * (1 if i == p else i) % p
-            windows[r] = tuple(window) + (0,) * (m - len(window))
+            windows[r] = tuple(window) + (0,) * (width - len(window))
         for p in leave.get(n, ()):
             modulus //= p ** depth[p]
             deep -= depth[p] == 2
@@ -477,30 +498,39 @@ def half_power_windows(h, reads) -> list[tuple[int, ...]]:
 
 
 def integer_resultant(f, g) -> int:
-    """Res(f, g) = det of the Sylvester matrix of integer polynomials f and g
-    (lowest degree first, nonzero leading coefficients), by fraction-free
-    elimination (Bareiss 1968): every entry stays an integer minor, and each
-    step divides exactly by the previous pivot."""
-    m, n = len(f) - 1, len(g) - 1
-    size = m + n
-    rows = [[0] * i + list(f[::-1]) + [0] * (n - 1 - i) for i in range(n)]
-    rows += [[0] * i + list(g[::-1]) + [0] * (m - 1 - i) for i in range(m)]
-    sign, previous = 1, 1
-    for k in range(size - 1):
-        if not rows[k][k]:
-            swap = next((r for r in range(k + 1, size) if rows[r][k]), None)
-            if swap is None:
-                return 0
-            rows[k], rows[swap] = rows[swap], rows[k]
+    """Res(f, g), the determinant of the Sylvester matrix of integer
+    polynomials f and g (lowest degree first, nonzero leading coefficients).
+
+    The subresultant remainder sequence of Collins and Brown (Cohen, "A Course
+    in Computational Algebraic Number Theory", Alg. 3.3.7) keeps every
+    remainder integral by exact divisions, so it takes about deg f * deg g
+    integer steps where elimination on the Sylvester matrix takes the cube.
+    """
+    if len(f) < len(g):
+        return (-1) ** ((len(f) - 1) * (len(g) - 1)) * integer_resultant(g, f)
+    a, b = list(f[::-1]), list(g[::-1])  # highest degree first
+    sign, lead, h = 1, 1, 1  # lead and h are g and h of the algorithm
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        if (len(a) - 1) * (len(b) - 1) % 2:
             sign = -sign
-        pivot_row = rows[k]
-        pivot = pivot_row[k]
-        for row in rows[k + 1 :]:
-            c = row[k]
-            for j in range(k + 1, size):
-                row[j] = (pivot * row[j] - c * pivot_row[j]) // previous
-        previous = pivot
-    return sign * rows[-1][-1] if size else 1
+        # pseudo-remainder: lc(b)^(delta + 1) a mod b
+        r = a[:]
+        for i in range(delta + 1):
+            c = r[i]
+            r[i + 1 :] = [b[0] * x for x in r[i + 1 :]]
+            for j, y in enumerate(b[1:], i + 1):
+                r[j] -= c * y
+        r = r[delta + 1 :]
+        while r and not r[0]:
+            del r[0]
+        if not r:
+            return 0
+        divisor = lead * h**delta
+        a, b = b, [c // divisor for c in r]
+        lead = a[0]
+        h = lead**delta // h ** (delta - 1) if delta else h
+    return sign * (b[0] ** (len(a) - 1) * h // h ** (len(a) - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -128,3 +128,31 @@ def count_calls(monkeypatch, module: str, qualname: str, key=lambda *args: None)
                 if value is original:
                     monkeypatch.setattr(mod, attr, wrapper)
     return counts
+
+
+def bareiss_resultant(f, g) -> int:
+    """Res(f, g) = det of the Sylvester matrix of integer polynomials f and g
+    (lowest degree first, nonzero leading coefficients), by fraction-free
+    elimination (Bareiss 1968): every entry stays an integer minor, and each
+    step divides exactly by the previous pivot.  The oracle for
+    ``ffpoly.integer_resultant``."""
+    m, n = len(f) - 1, len(g) - 1
+    size = m + n
+    rows = [[0] * i + list(f[::-1]) + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + list(g[::-1]) + [0] * (m - 1 - i) for i in range(m)]
+    sign, previous = 1, 1
+    for k in range(size - 1):
+        if not rows[k][k]:
+            swap = next((r for r in range(k + 1, size) if rows[r][k]), None)
+            if swap is None:
+                return 0
+            rows[k], rows[swap] = rows[swap], rows[k]
+            sign = -sign
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        for row in rows[k + 1 :]:
+            c = row[k]
+            for j in range(k + 1, size):
+                row[j] = (pivot * row[j] - c * pivot_row[j]) // previous
+        previous = pivot
+    return sign * rows[-1][-1] if size else 1

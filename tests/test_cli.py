@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 import sys
+from fractions import Fraction
 from time import perf_counter
 
 import pytest
@@ -27,7 +28,7 @@ from isofib.curves import (
     p_rank_hyperelliptic,
     point_count_oracle,
 )
-from isofib.ffpoly import FpPolynomial, PrimeField
+from isofib.ffpoly import FpPolynomial, PrimeField, _is_prime
 from isofib.fibration import Rotation
 
 from helpers import count_calls, random_squarefree_poly
@@ -324,6 +325,78 @@ def test_scan_computes_each_curve_fact_once_per_prime(tmp_path, monkeypatch, cap
     assert main(["scan", path, "--pmax", "200", "--format", "json"]) == EXIT_OK
     assert sum(row["good"] for row in json.loads(capsys.readouterr().out)["rows"]) > 40
     assert not any(per_prime.values())
+
+
+def test_branch_scan_powers_the_cartier_matrix_only_where_dp_is_not_ordinary(
+    tmp_path, monkeypatch, capsys
+):
+    # x^6 + x^2 + 2 takes the p-ranks 2, 1 and 0 below 400: the determinant
+    # answers rank 2, and M^2 is built once at each prime of rank 1 or 0
+    powers = count_calls(monkeypatch, "ffpoly", "matrix_power_mod", key=lambda rows, e, p: p)
+    path = write_spec(tmp_path, {"E": {"a": 1, "b": 1}, "branch": [2, 0, 1, 0, 0, 0, 1]})
+    assert main(["scan", path, "--pmax", "400", "--format", "json"]) == EXIT_OK
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    nonordinary = [row["p"] for row in rows if row["good"] and not row["Dp_ord"]]
+    assert len(nonordinary) > 10 and any(row["Dp_ord"] for row in rows)
+    assert dict(powers) == dict.fromkeys(nonordinary, 1)
+
+
+@pytest.mark.parametrize("a, b, inner, modulus", ((0, 5, (1, 5), 3), (-3, 0, (1, -3), 4)))
+def test_j0_and_j1728_scans_run_the_engine_on_the_sparse_part(
+    tmp_path, monkeypatch, capsys, a, b, inner, modulus
+):
+    # 1 + b x^3 (j = 0) and 1 + a x^2 (j = 1728) run as 1 + b x and 1 + a x;
+    # the Hasse invariant c_((p-1)/2) is 0 unless 3 (4) divides p - 1, and
+    # those primes make no read at all
+    runs = count_calls(
+        monkeypatch, "ffpoly", "half_power_windows",
+        key=lambda h, reads, width: (tuple(h), tuple(reads), width),
+    )
+    path = write_spec(tmp_path, {"E": {"a": a, "b": b}}, name="scan.json")
+    assert main(["scan", path, "--pmax", "500"]) == EXIT_OK
+    capsys.readouterr()
+    (outer, _, _), (h, reads, width) = runs
+    assert list(runs.values()) == [1, 1]
+    assert outer == (1, 0, a, b) and h == inner and width == 1
+    good = [p for p in range(5, 501) if _is_prime(p) and (4 * a**3 + 27 * b**2) % p]
+    assert [p for p, _ in reads] == [p for p in good if p % modulus == 1]
+
+
+def _payload_from_tsv(text: str) -> dict:
+    """The JSON payload of a scan, rebuilt from its TSV rows."""
+    value = {"1": True, "0": False, "-": None}
+    rows = []
+    for line in text.splitlines()[1:]:
+        if not line.startswith("#"):
+            p, good, e_ord, dp_ord, verdict = line.split("\t")
+            rows.append({"p": int(p), "good": value[good], "E_ord": value[e_ord],
+                         "Dp_ord": value[dp_ord], "verdict": value[verdict]})
+    good = [row for row in rows if row["good"]]
+    ordinary = sum(bool(row["verdict"]) for row in good)
+    fraction = Fraction(ordinary, len(good)) if good else None
+    return {
+        "rows": rows,
+        "good_primes": len(good),
+        "ordinary_primes": ordinary,
+        "ordinary_fraction": None if fraction is None else [fraction.numerator, fraction.denominator],
+    }
+
+
+@pytest.mark.parametrize("doc, pmax", (
+    ({"E": {"a": 1, "b": 1}}, 4),  # no rows
+    ({"E": {"a": 1, "b": 1}}, 0),
+    ({"E": {"a": 0, "b": 5}}, 6),  # 5 divides 27 * 25: no good prime
+    ({"E": {"a": 1, "b": 1}, "branch": [1, 0, 0, 0, 0, 5]}, 6),  # 5 divides lc
+    ({"E": {"a": -7, "b": -11}}, 300),  # E only: Dp_ord is null
+    ({"E": {"a": 1, "b": 1}, "branch": [36, -30, 10, -13, -4, 1]}, 300),  # bad at 5, 11, 19, 31
+    ({"E": {"a": 0, "b": 7}, "branch": [2, 0, 1, 0, 0, 0, 1]}, 300),
+))
+def test_scan_json_is_the_indented_dump_of_the_payload(tmp_path, capsys, doc, pmax):
+    path = write_spec(tmp_path, doc, name="scan.json")
+    assert main(["scan", path, "--pmax", str(pmax)]) == EXIT_OK
+    payload = _payload_from_tsv(capsys.readouterr().out)
+    assert main(["scan", path, "--pmax", str(pmax), "--format", "json"]) == EXIT_OK
+    assert capsys.readouterr().out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def test_decide_bad_override_syntax(tmp_path, capsys):

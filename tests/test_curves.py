@@ -380,6 +380,22 @@ def test_cartier_rows_agree_with_the_kernel_at_every_prime(f):
         assert rows == _cartier_manin_rows(f, p), (f, p)
 
 
+# sparse branches f = F(x^d), whose runs go through F, with the p-ranks they
+# take below 400: x^5 + 1 only 0 or g, so the other two reach 0 < rank < g
+SPARSE_BRANCHES = (
+    ((1, 0, 0, 0, 0, 1), {0, 2}),
+    ((2, 0, 1, 0, 0, 0, 1), {0, 1, 2}),
+    ((1, 0, 0, 0, 1, 0, 0, 0, 1), {0, 1, 2, 3}),
+)
+
+
+def test_cartier_rows_of_sparse_branches_agree_with_the_kernel():
+    for f, _ in SPARSE_BRANCHES:
+        primes = _squarefree_primes(f, 1000)
+        for p, rows in zip(primes, _cartier_rows(f, primes)):
+            assert rows == _cartier_manin_rows(f, p), (f, p)
+
+
 def test_cartier_rows_read_deep_rows_per_prime():
     # genus 4 from both runs; genus 5 and 6 have rows deeper than 2p at both ends
     rng = random.Random(29)
@@ -415,9 +431,12 @@ def test_squarefree_by_the_discriminant_matches_is_squarefree():
 
 def test_hyperelliptic_p_ranks_match_the_model_p_rank():
     rng = random.Random(31)
-    for degree in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10):
-        f = tuple(rng.randrange(-5, 6) for _ in range(degree)) + (rng.choice((1, 2, -3)),)
+    branches = [(tuple(rng.randrange(-5, 6) for _ in range(degree)) + (rng.choice((1, 2, -3)),), None)
+                for degree in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10)]
+    for f, rank_set in branches + list(SPARSE_BRANCHES):
+        degree = len(f) - 1
         primes = [p for p in range(5, 400) if _is_prime(p) and f[-1] % p]
+        seen = set()
         for p, rank in zip(primes, hyperelliptic_p_ranks(f, primes)):
             fp = FpPolynomial(PrimeField(p), f)
             if not fp.is_squarefree():
@@ -425,7 +444,12 @@ def test_hyperelliptic_p_ranks_match_the_model_p_rank():
             elif degree < 3:
                 assert rank == 0  # genus 0
             else:
-                assert rank == p_rank_hyperelliptic(HyperellipticModel(fp)), (f, p)
+                model = HyperellipticModel(fp)
+                assert rank == p_rank_hyperelliptic(model), (f, p)
+                # the rank of M^g itself, where the determinant decides nothing
+                assert rank == matrix_rank_det(cartier_manin(model) ** model.genus)[0], (f, p)
+                seen.add(rank)
+        assert rank_set is None or seen == rank_set, f
 
 
 def test_hyperelliptic_p_ranks_refuse_bad_input():

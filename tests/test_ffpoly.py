@@ -5,6 +5,7 @@ from time import perf_counter
 
 import pytest
 
+from helpers import bareiss_resultant
 from isofib import ffpoly
 from isofib.ffpoly import (
     ExtField,
@@ -182,43 +183,70 @@ def test_recurrence_work_mod_needs_no_field():
             assert ffpoly.recurrence_work_mod(f.coeffs, p, e, ks) == recurrence_work(f, e, ks)
 
 
-# integer polynomials: h(0) not +-1, non-monic, sparse, a unit h(0)
+# integer polynomials: h(0) not +-1, non-monic, sparse, a unit h(0); then
+# h = H(x^d) for d = 2, 3, 4, which the engine runs as H
 WINDOW_POLYS = (
     (3, 1, -2, 5, 7, -1, 4),
     (-2, 0, 5, 1, 0, -3, 2, 0, 5),
     (35, 0, 0, 0, 0, 0, 0, -1, 2),
     (1, 0, 17, -23),
     (6, 1),
+    (-3, 0, 2, 0, 0, 0, 5),
+    (35, 0, 0, -4, 0, 0, 1),
+    (-2, 0, 0, 0, 7, 0, 0, 0, 3),
 )
 
 
-def _kernel_window(h, p, n):
-    """(g_n, ..., g_(n-m+1)) of h^((p-1)/2) mod p from poly_pow_coeff."""
-    ks = [n - t for t in range(len(h) - 1)]
+def _kernel_window(h, p, n, width=None):
+    """(g_n, ..., g_(n-width+1)) of h^((p-1)/2) mod p from poly_pow_coeff; width m by default."""
+    ks = [n - t for t in range(len(h) - 1 if width is None else width)]
     return poly_pow_coeff(FpPolynomial(PrimeField(p), h), (p - 1) // 2, ks)
 
 
 @pytest.mark.parametrize("h", WINDOW_POLYS)
 def test_half_power_windows_match_the_kernel_at_depth_one_and_two(h):
+    # every prime below 600; about half of them read below p alone, so the
+    # primes that B runs modulo are a strict part of those A runs modulo
     rng = random.Random(len(h))
+    m = len(h) - 1
     reads = []
     for p in (q for q in range(5, 600) if _is_prime(q) and h[0] % q):
-        m = len(h) - 1
-        ns = {0, m - 2, (p - 1) // 2, p - 1, p, p + m - 2, 2 * p - 1, rng.randrange(2 * p)}
-        reads += [(p, n) for n in sorted(ns) if 0 <= n < 2 * p]
+        ns = {-1, 0, 1, m - 2, (p - 1) // 2, (p + 1) // 2, p - 1, rng.randrange(p)}
+        if rng.random() < 0.5:
+            ns |= {p, p + 1, p + m - 2, 2 * p - 1, rng.randrange(p, 2 * p)}
+        reads += [(p, n) for n in sorted(ns) if -1 <= n < 2 * p]
     rng.shuffle(reads)  # the reads may come in any order
-    got = ffpoly.half_power_windows(h, reads)
-    assert any(n >= p for p, n in reads) and any(n < p for p, n in reads)
-    for (p, n), window in zip(reads, got):
-        assert window == _kernel_window(h, p, n), (h, p, n)
+    assert any(n >= p for p, n in reads) and any(n < 0 for p, n in reads)
+    assert any(all(q != p or n < p for q, n in reads) for p, _ in reads)
+    expected = [_kernel_window(h, p, n) for p, n in reads]
+    for width in range(m + 1):
+        got = ffpoly.half_power_windows(h, reads, width)
+        for (p, n), window, full in zip(reads, got, expected):
+            assert window == full[:width], (h, width, p, n)
 
 
 def test_half_power_windows_read_zeros_below_the_start():
     h = (2, 3, 1)
-    assert ffpoly.half_power_windows(h, [(7, -1), (7, 0), (5, -4)]) == [
+    assert ffpoly.half_power_windows(h, [(7, -1), (7, 0), (5, -4)], 2) == [
         (0, 0), (pow(2, 3, 7), 0), (0, 0)
     ]
-    assert ffpoly.half_power_windows(h, []) == []
+    assert ffpoly.half_power_windows(h, [(7, 0)], 0) == [()]
+    assert ffpoly.half_power_windows(h, [], 2) == []
+
+
+def test_half_power_windows_of_h_of_x_to_the_d_read_the_run_of_h():
+    # h = H(x^d): a window holding no multiple of d reads zeros, and its prime
+    # enters no run; the others agree with the kernel at depth 1 and 2
+    for d in (2, 3, 4):
+        H = (3, -2, 5)
+        h = tuple(H[i // d] if i % d == 0 else 0 for i in range(2 * d + 1))
+        for width in range(len(h)):
+            reads = [(p, n) for p in (11, 13, 101) for n in (-1, 0, 1, d - 1, d + 1, p - 1, p + 1,
+                                                         2 * p - 2, 2 * p - 1)]
+            for (p, n), window in zip(reads, ffpoly.half_power_windows(h, reads, width)):
+                assert window == _kernel_window(h, p, n, width), (d, width, p, n)
+                if width and n >= 0 and n // d * d <= n - width:  # in the zero band
+                    assert window == (0,) * width
 
 
 def test_half_power_windows_refuse_bad_reads():
@@ -227,12 +255,16 @@ def test_half_power_windows_refuse_bad_reads():
         ((10, 3, 1), (5, 1)),  # p divides h(0)
         ((2, 3, 1), (7, 14)),  # n >= 2p
         ((2, 3, 1), (2, 1)),
+        ((2, 0, 1), (4, 1)),  # even, in the zero band of h = H(x^2): refused all the same
     ):
         with pytest.raises(ValueError, match="odd prime p not dividing h"):
-            ffpoly.half_power_windows(h, [(11, 3), read])
+            ffpoly.half_power_windows(h, [(11, 3), read], 1)
     for h in ((5,), (0, 1, 1), (), (5, 0, 0)):
         with pytest.raises(ValueError, match="nonconstant"):
-            ffpoly.half_power_windows(h, [(11, 3)])
+            ffpoly.half_power_windows(h, [(11, 3)], 1)
+    for width in (-1, 3):
+        with pytest.raises(ValueError, match="window width from 0 to deg h = 2"):
+            ffpoly.half_power_windows((2, 3, 1), [(11, 3)], width)
 
 
 def test_integer_resultant_is_the_product_over_the_roots():
@@ -251,6 +283,27 @@ def test_integer_resultant_is_the_product_over_the_roots():
         assert ffpoly.integer_resultant(f, g) == value, (f, g)
     assert ffpoly.integer_resultant([3, 1], [7]) == 7
     assert ffpoly.integer_resultant([0, 0, 1], [0, 2]) == 0  # x^2 and 2x share a root
+
+
+def test_integer_resultant_matches_the_sylvester_determinant():
+    # Res(f, f') and Res(f, g) with a content, a degree drop of 2 or more in
+    # the remainder sequence, and a common factor
+    rng = random.Random(400)
+    for trial in range(400):
+        f = [rng.randrange(-9, 10) for _ in range(rng.randrange(1, 15))] + [rng.choice((1, -2, 3, 7))]
+        g = [i * c for i, c in enumerate(f)][1:]
+        if trial % 4 == 1:
+            g = [rng.randrange(-9, 10) for _ in range(rng.randrange(0, 15))] + [rng.choice((1, -1, 5))]
+        elif trial % 4 == 2:  # 6 F(x^2) and G(x^2): every remainder drops by 2 or more
+            f = [6 * f[i // 2] if i % 2 == 0 else 0 for i in range(2 * len(f) - 1)]
+            g = [rng.randrange(-9, 10) if i % 2 == 0 else 0 for i in range(rng.randrange(0, 9) * 2)]
+            g.append(rng.choice((1, -1, 5)))
+        elif trial % 4 == 3:  # times (x + r)
+            r = rng.randrange(-3, 4)
+            f, g = ([r * (u[i] if i < len(u) else 0) + (u[i - 1] if i else 0) for i in range(len(u) + 1)]
+                    for u in (f, g))
+        assert ffpoly.integer_resultant(f, g) == bareiss_resultant(f, g), (f, g)
+        assert ffpoly.integer_resultant(g, f) == bareiss_resultant(g, f), (f, g)
 
 
 def test_poly_pow_matches_repeated_product():
