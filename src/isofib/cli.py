@@ -130,6 +130,12 @@ def _want_branch(branch, errors) -> list[int] | None:
     return branch
 
 
+def _refuse_long_branch(degree: int) -> None:
+    """Refuse (OracleBoundError) a branch of degree beyond BRANCH_MAX_DEGREE."""
+    if degree > BRANCH_MAX_DEGREE:
+        raise OracleBoundError(f"branch refused: degree {degree} exceeds bound {BRANCH_MAX_DEGREE}")
+
+
 def parse_spec_document(doc) -> FibrationSpec:
     """Turn a parsed JSON document into a FibrationSpec, or raise with every
     field error found."""
@@ -205,10 +211,8 @@ def parse_spec_document(doc) -> FibrationSpec:
 
     if errors:
         raise SpecDocumentError(errors)
-    if branch_poly is not None and branch_poly.degree() > BRANCH_MAX_DEGREE:
-        raise OracleBoundError(
-            f"branch refused: degree {branch_poly.degree()} exceeds bound {BRANCH_MAX_DEGREE}"
-        )
+    if branch_poly is not None:
+        _refuse_long_branch(branch_poly.degree())
     return FibrationSpec(
         rotation=rotation,
         translation=translation,
@@ -316,8 +320,10 @@ def _parse_set_overrides(pairs: list[str]) -> dict:
         if "=" not in token:
             errors.append(f"--set {token!r}: expected NAME=VALUE")
             continue
-        name, value = token.split("=", 1)
-        overrides[name.strip()] = value.strip()
+        name, value = (part.strip() for part in token.split("=", 1))
+        if name in overrides:
+            errors.append(f"--set {name!r}: given more than once")
+        overrides[name] = value
     if errors:
         raise SpecDocumentError(errors)
     return overrides
@@ -524,10 +530,8 @@ def load_scan_document(path: str) -> tuple[EllipticCurveQ, list[int] | None]:
                 errors.append("branch: need a nonconstant polynomial over the integers")
     if errors:
         raise SpecDocumentError(errors)
-    if branch is not None and len(branch) - 1 > BRANCH_MAX_DEGREE:
-        raise OracleBoundError(
-            f"branch refused: degree {len(branch) - 1} exceeds bound {BRANCH_MAX_DEGREE}"
-        )
+    if branch is not None:
+        _refuse_long_branch(len(branch) - 1)
     return curve, branch
 
 

@@ -18,11 +18,14 @@ either end of f^((p-1)/2) from one run of h = f/x^v and one of rev(h), so a
 curve of genus at most 4 costs two runs.  The rows deeper than that (genus 5
 and up), and the low rows at the finitely many primes dividing h(0), come
 from ``poly_pow_coeff`` at that prime alone; squarefreeness mod p comes from
-Res(f, f') once.  A run takes O(p_max) steps on numbers of about 1.44 p_max
-bits (twice that for a row beyond p).  On a shared 2-vCPU x86-64 host
-(uncalibrated, one run each), a scan to p_max = 10^4 takes about 0.1 s for
-E alone, 0.4 s with a sextic branch and 1.4 s with an octic one; E's run
-with coefficients of 13000 bits, reduced modulo the product, takes 1.4 s.
+Res(f, f') once.  Both p-rank routes, ``p_rank_hyperelliptic`` on a model and
+``hyperelliptic_p_ranks`` on a scan, take rank(M^g) from one helper on integer
+rows: det M first, and M^g only where det M = 0.  A run takes O(p_max)
+steps on numbers of about 1.44 p_max bits (twice that for a row beyond p).
+On a shared 2-vCPU x86-64 host (uncalibrated, one run each), a scan to
+p_max = 10^4 takes about 0.1 s for E alone, 0.4 s with a sextic branch and
+1.4 s with an octic one; E's run with coefficients of 13000 bits, reduced
+modulo the product, takes 1.4 s.
 
 The oracles enumerate and therefore carry hard input bounds.  The closed
 forms refuse an f of degree beyond ``BRANCH_MAX_DEGREE`` and coefficients
@@ -46,10 +49,8 @@ from .ffpoly import (
     half_power_windows,
     integer_resultant,
     matrix_power_mod,
-    matrix_rank_det,
     poly_pow_coeff,
     rank_det_mod,
-    recurrence_work,
     recurrence_work_mod,
 )
 
@@ -83,8 +84,7 @@ class EllipticCurveW:
             )
 
     def discriminant_factor(self) -> int:
-        f = self.field
-        return f.add(f.mul(4, f.pow_(self.a, 3)), f.mul(27, f.mul(self.b, self.b)))
+        return (4 * self.a**3 + 27 * self.b**2) % self.field.p
 
     def rhs_poly(self) -> FpPolynomial:
         return FpPolynomial(self.field, [self.b, self.a, 0, 1])
@@ -139,27 +139,26 @@ def j_invariant_and_aut(curve: EllipticCurveW) -> tuple[int, int]:
     j = 1728 * 4a^3 / (4a^3 + 27b^2); the group is Z/6 at j = 0, Z/4 at
     j = 1728 and Z/2 otherwise (char > 3, so 0 and 1728 are distinct).
     """
-    f = curve.field
-    num = f.mul(f.reduce(1728), f.mul(4, f.pow_(curve.a, 3)))
-    j = f.div(num, curve.discriminant_factor())
+    p = curve.field.p
+    j = 1728 * 4 * curve.a**3 * pow(curve.discriminant_factor(), -1, p) % p
     if j == 0:
         return j, 6
-    if j == f.reduce(1728):
+    if j == 1728 % p:
         return j, 4
     return j, 2
 
 
-def _check_branch_degree(f: FpPolynomial) -> None:
-    if f.degree() > BRANCH_MAX_DEGREE:
+def _check_branch_degree(degree: int) -> None:
+    if degree > BRANCH_MAX_DEGREE:
         raise OracleBoundError(
-            f"closed form refused: f has degree {f.degree()}, exceeding bound {BRANCH_MAX_DEGREE}"
+            f"closed form refused: f has degree {degree}, exceeding bound {BRANCH_MAX_DEGREE}"
         )
 
 
 def check_closed_form_bound(f: FpPolynomial) -> None:
     """Refuse (OracleBoundError) an f beyond BRANCH_MAX_DEGREE or a whole power
     f^((p-1)/2) beyond CLOSED_FORM_MAX_DEGREE."""
-    _check_branch_degree(f)
+    _check_branch_degree(f.degree())
     degree = f.degree() * (f.field.p - 1) // 2
     if degree > CLOSED_FORM_MAX_DEGREE:
         raise OracleBoundError(
@@ -172,8 +171,8 @@ def check_recurrence_bound(f: FpPolynomial, e: int, ks) -> None:
     """Refuse (OracleBoundError) an f beyond BRANCH_MAX_DEGREE, or coefficients
     ks of f^e whose recurrence takes more than RECURRENCE_MAX_WORK steps
     times p-adic digits; for the Hasse invariant that is p > 2 * 10^6 + 1."""
-    _check_branch_degree(f)
-    _check_work(recurrence_work(f, e, ks))
+    _check_branch_degree(f.degree())
+    _check_work(recurrence_work_mod(f.coeffs, f.field.p, e, ks))
 
 
 def _check_work(work: int) -> None:
@@ -225,15 +224,12 @@ def hyperelliptic_p_ranks(f, primes) -> list[int | None]:
     mod the product of the primes, which leaves it unchanged mod each).  Before that, every
     prime is held to RECURRENCE_MAX_WORK for the Cartier-Manin entries
     ``cartier_manin`` reads, in order, so a scan beyond the bound is refused
-    before any run.  The entries then come from ``_cartier_rows``.  Each
-    rank takes det M first and builds M^g only where det M = 0.
+    before any run.  The entries then come from ``_cartier_rows``, and each
+    rank from ``_cartier_p_rank``.
     """
     f = tuple(f)
     degree = len(f) - 1
-    if degree > BRANCH_MAX_DEGREE:
-        raise OracleBoundError(
-            f"closed form refused: f has degree {degree}, exceeding bound {BRANCH_MAX_DEGREE}"
-        )
+    _check_branch_degree(degree)
     primes = list(primes)
     for before, p in zip([3] + primes, primes):
         if p <= before or f[-1] % p == 0:
@@ -263,11 +259,17 @@ def hyperelliptic_p_ranks(f, primes) -> list[int | None]:
     ranks = dict.fromkeys(good, 0)
     if g:
         for p, rows in zip(good, _cartier_rows(f, good)):
-            if rank_det_mod(rows, g, p)[1]:  # rank(M^g) = g exactly where det M is a unit
-                ranks[p] = g
-            else:
-                ranks[p] = rank_det_mod(matrix_power_mod(rows, g, p), g, p)[0]
+            ranks[p] = _cartier_p_rank(rows, p)
     return [ranks.get(p) for p in primes]
+
+
+def _cartier_p_rank(rows, p: int) -> int:
+    """rank(M^g) mod p for the g x g Cartier-Manin matrix M given as rows:
+    g exactly where det M is a unit, and M^g is built only where det M = 0."""
+    g = len(rows)
+    if rank_det_mod(rows, g, p)[1]:
+        return g
+    return rank_det_mod(matrix_power_mod(rows, g, p), g, p)[0]
 
 
 def _cartier_rows(f: tuple[int, ...], primes) -> list[list[list[int]]]:
@@ -339,11 +341,9 @@ def cartier_manin(model: HyperellipticModel) -> FpMatrix:
 
 
 def p_rank_hyperelliptic(model: HyperellipticModel) -> int:
-    """p-rank of the Jacobian over the prime field: rank of M^g for the Cartier matrix M,
-    which is g where det M != 0 and is read from M^g only where det M = 0."""
-    g = model.genus
-    m = cartier_manin(model)
-    return g if matrix_rank_det(m)[1] else matrix_rank_det(m**g)[0]
+    """p-rank of the Jacobian over the prime field: rank of M^g for the Cartier
+    matrix M, by ``_cartier_p_rank``."""
+    return _cartier_p_rank(cartier_manin(model).entries, model.field.p)
 
 
 def _affine_count_prime(f: FpPolynomial) -> int:

@@ -1,10 +1,14 @@
 """Exact arithmetic over GF(p), its quadratic extension, polynomials and matrices.
 
-Field elements are plain Python integers in ``[0, p)``; a ``PrimeField``
-instance carries the modulus and the arithmetic.  Polynomials are immutable
-coefficient tuples, lowest degree first, with the trailing coefficient nonzero
-(the zero polynomial is the empty tuple).  Matrices are immutable row-major
-tuples.  Everything is exact: no floating point, no external bignum library.
+Field elements are plain Python integers in ``[0, p)``, and GF(p) arithmetic
+on them is Python's own (``% p``, ``pow(x, e, p)``, ``pow(x, -1, p)``); a
+``PrimeField`` instance is a validated modulus with Euler's criterion.
+Polynomials are immutable coefficient tuples, lowest degree first, with the
+trailing coefficient nonzero (the zero polynomial is the empty tuple).
+Matrices are rows of integers: ``matrix_mul_mod``, ``matrix_power_mod`` and
+``rank_det_mod`` are the one implementation of matrix arithmetic mod p, and an
+``FpMatrix`` only carries a field and its reduced rows.  Everything is exact:
+no floating point, no external bignum library.
 
 Polynomials have one exact multiply (byte-aligned Kronecker substitution),
 one power built on it for callers that need the whole of f^e, one coefficient
@@ -19,8 +23,7 @@ recurrence that is the same for every p, modulo the product of the primes
 still to be read (p^2 for an index between p and 2p), and computes only the
 entries each read asks for; h = H(x^d) runs as H.  ``integer_resultant``
 gives Res(f, f') once by subresultants, so that a scan knows where f mod p
-is squarefree without a test per prime.  The matrix helpers work on
-plain integer rows mod p, for callers that build no field.
+is squarefree without a test per prime.
 
 The quadratic extension GF(p^2) is realized as GF(p)[w]/(w^2 - n) with n the
 smallest positive quadratic non-residue mod p, chosen deterministically so
@@ -88,26 +91,6 @@ class PrimeField:
     def __repr__(self) -> str:
         return f"PrimeField({self.p})"
 
-    def reduce(self, x: int) -> int:
-        return x % self.p
-
-    def add(self, x: int, y: int) -> int:
-        return (x + y) % self.p
-
-    def mul(self, x: int, y: int) -> int:
-        return (x * y) % self.p
-
-    def inv(self, x: int) -> int:
-        if x % self.p == 0:
-            raise ZeroDivisionError(f"inverse of 0 mod {self.p}")
-        return pow(x, -1, self.p)
-
-    def div(self, x: int, y: int) -> int:
-        return self.mul(x, self.inv(y))
-
-    def pow_(self, x: int, e: int) -> int:
-        return pow(x, e, self.p)
-
     def is_square(self, x: int) -> bool:
         """Euler criterion; 0 counts as a square."""
         x %= self.p
@@ -173,13 +156,6 @@ class FpPolynomial:
     @staticmethod
     def zero(field: PrimeField) -> "FpPolynomial":
         return FpPolynomial(field, ())
-
-    @staticmethod
-    def one(field: PrimeField) -> "FpPolynomial":
-        return FpPolynomial(field, (1,))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
@@ -340,18 +316,14 @@ def poly_pow_coeff(f: FpPolynomial, e: int, ks) -> tuple[int, ...]:
     )
 
 
-def recurrence_work(f: FpPolynomial, e: int, ks) -> int:
-    """Steps times p-adic digits of the runs poly_pow_coeff(f, e, ks) makes.
+def recurrence_work_mod(coeffs: tuple[int, ...], p: int, e: int, ks) -> int:
+    """Steps times p-adic digits of the runs poly_pow_coeff makes for the
+    coefficients ks of f^e, where f has the residues coeffs mod p, lowest
+    degree first and without trailing zeros; no field is built.
 
     A step costs one product per nonzero coefficient of f, on integers of
     that many digits, so for a given f the kernel's time grows with this.
     """
-    return recurrence_work_mod(f.coeffs, f.field.p, e, ks)
-
-
-def recurrence_work_mod(coeffs: tuple[int, ...], p: int, e: int, ks) -> int:
-    """recurrence_work for the polynomial with the given residues mod p,
-    lowest degree first and without trailing zeros; no field is built."""
     if e < 0:
         raise ValueError("negative polynomial power")
     if not coeffs:
@@ -556,30 +528,6 @@ class FpMatrix:
         object.__setattr__(self, "cols", ncols)
         object.__setattr__(self, "entries", tuple(rows))
 
-    @staticmethod
-    def identity(field: PrimeField, n: int) -> "FpMatrix":
-        return FpMatrix(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
-    def __mul__(self, other: "FpMatrix") -> "FpMatrix":
-        if self.field != other.field:
-            raise ValueError("matrices over different fields")
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch: {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        return FpMatrix(self.field, matrix_mul_mod(self.entries, other.entries, self.field.p))
-
-    def __pow__(self, e: int) -> "FpMatrix":
-        """Binary power by ``matrix_power_mod``, so M**2 is one product and M**3 two."""
-        if not self.is_square():
-            raise ValueError("power of a non-square matrix")
-        if e < 0:
-            raise ValueError("negative matrix power")
-        if e == 0:
-            return FpMatrix.identity(self.field, self.rows)
-        return FpMatrix(self.field, matrix_power_mod(self.entries, e, self.field.p))
-
     def __repr__(self) -> str:
         return f"FpMatrix(p={self.field.p}, {self.rows}x{self.cols}, {self.entries})"
 
@@ -591,7 +539,7 @@ def matrix_rank_det(m: FpMatrix) -> tuple[int, int | None]:
     rank 0 and determinant 1.
     """
     rank, det = rank_det_mod(m.entries, m.cols, m.field.p)
-    return (rank, det) if m.is_square() else (rank, None)
+    return (rank, det) if m.rows == m.cols else (rank, None)
 
 
 def matrix_mul_mod(a, b, p: int) -> list[list[int]]:

@@ -251,18 +251,6 @@ def _degree_fractions(rotation: Rotation, r: RamificationData) -> list[tuple[int
     ]
 
 
-def _euler_closed_form(rotation: Rotation, r: RamificationData) -> int:
-    if rotation is Rotation.TRIVIAL:
-        return 0
-    if rotation is Rotation.C2:
-        return 6 * r.a2
-    if rotation is Rotation.C3:
-        return 4 * r.a3p + 8 * r.a3m
-    if rotation is Rotation.C4:
-        return 3 * r.a4p + 9 * r.a4m + 6 * r.a2
-    return 2 * r.a6p + 10 * r.a6m + 4 * r.a3p + 8 * r.a3m + 6 * r.a2
-
-
 def _riemann_hurwitz(spec: FibrationSpec, h: int) -> int:
     """2g - 2 of D'/H for the subgroup H of order h of the rotation group.
 
@@ -338,7 +326,7 @@ def validate_spec(spec: FibrationSpec) -> list[str]:
         elif spec.rotation in FORCED_J:
             forced = FORCED_J[spec.rotation]
             j, _ = j_invariant_and_aut(spec.e_model)
-            if j != spec.field.reduce(forced):
+            if j != forced % spec.field.p:
                 violations.append(
                     f"rotation of order {n} needs j(E) = {forced}, model has j = {j}"
                 )
@@ -396,7 +384,11 @@ def genus_cover_tower(spec: FibrationSpec) -> tuple[int, int | None, int | None]
 
 
 def line_bundle_degrees(spec: FibrationSpec) -> tuple[int, ...]:
-    """Degrees of the character line bundles L_1 ... L_(n-1); empty if R is trivial."""
+    """Degrees of the character line bundles L_1 ... L_(n-1); empty if R is trivial.
+
+    L_i is the chi^i eigensheaf for orders 2, 3 and 4; order 6 lists the chi,
+    chi^4, chi^3, chi^2 and chi^5 eigensheaves, in that order.
+    """
     return tuple(-(num // den) for num, den, _ in _degree_fractions(spec.rotation, spec.ram))
 
 
@@ -405,7 +397,7 @@ class SurfaceInvariants:
     """Numerical invariants of the minimal model X, with the cover tower and
     the counted singular fibers they are derived from."""
 
-    deg_l: tuple[int, ...]
+    deg_l: tuple[int, ...]  # as line_bundle_degrees: C6 lists chi, chi^4, chi^3, chi^2, chi^5
     chi: int
     euler_total: int
     h1: int
@@ -421,22 +413,16 @@ def surface_invariants(spec: FibrationSpec) -> SurfaceInvariants:
     """chi, Euler number, cohomology dimensions, classification flags, cover
     tower and singular fibers.
 
-    The Euler number is computed both from the closed form in the branch
-    counts and as the sum over the classified singular fibers; the two must
-    agree, and twelve times chi must equal it (Noether, since K^2 = 0 on the
-    relatively minimal model).
+    The Euler number is the sum over the classified singular fibers, and
+    twelve times chi, read from the line-bundle degrees, must equal it
+    (Noether, since K^2 = 0 on the relatively minimal model).
     """
     deg_l = line_bundle_degrees(spec)
     fibers = singular_fibers(spec)
     trivial = spec.rotation is Rotation.TRIVIAL
     g2 = spec.genus_base
 
-    euler_closed = _euler_closed_form(spec.rotation, spec.ram)
-    euler_fibers = sum(count * fc.euler for fc, count in fibers)
-    if euler_closed != euler_fibers:
-        raise AssertionError(
-            f"Euler number mismatch: closed form {euler_closed}, fiber sum {euler_fibers}"
-        )
+    euler = sum(count * fc.euler for fc, count in fibers)
 
     if trivial:
         chi = 0
@@ -449,13 +435,13 @@ def surface_invariants(spec: FibrationSpec) -> SurfaceInvariants:
         h2 = g2 - 1 - top if top < 0 else g2 - 1  # top = 0 means an etale cover
     h1 = g2 + (1 if trivial else 0)
 
-    if 12 * chi != euler_closed:
-        raise AssertionError(f"Noether identity fails: 12*{chi} != {euler_closed}")
+    if 12 * chi != euler:
+        raise AssertionError(f"Noether identity fails: 12*{chi} != {euler}")
 
     return SurfaceInvariants(
         deg_l=deg_l,
         chi=chi,
-        euler_total=euler_closed,
+        euler_total=euler,
         h1=h1,
         h2=h2,
         d=d,

@@ -223,6 +223,21 @@ def test_decide_reports_a_malformed_override_before_reading_the_document(tmp_pat
         assert "--set 'noeq': expected NAME=VALUE" in captured.err
 
 
+def test_decide_rejects_a_repeated_override_name_before_reading_the_document(tmp_path, capsys):
+    law_breaking = write_spec(tmp_path, {"p": 5, "R": "C2", "T": [5, 1], "ram": {"a2": 3}})
+    for path in (write_spec(tmp_path, EXAMPLE_K3, "k3.json"), law_breaking):
+        for sets in (["E=ordinary", "E=nonordinary"], ["Dp=1", "C=1", " Dp =1"]):
+            argv = ["decide", path]
+            for token in sets:
+                argv += ["--set", token]
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code == EXIT_PARSE, (path, sets)
+            assert captured.out == ""
+            name = sets[0].split("=")[0]
+            assert captured.err == f"cannot read input:\n  - --set {name!r}: given more than once\n"
+
+
 def test_decide_rejects_ordinary_override_against_deuring(tmp_path, capsys):
     doc = {"p": 7, "R": "C4", "ram": {"a4p": 2, "a2": 1}}  # 7 = 3 mod 4
     code = main(["decide", write_spec(tmp_path, doc), "--set", "E=ordinary", "--set", "Dp=1"])

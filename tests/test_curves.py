@@ -1,6 +1,7 @@
 """Curve invariants against the spec'd values and the counting oracles."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -24,10 +25,12 @@ from isofib.curves import (
     zeta_prank_oracle,
 )
 from isofib.ffpoly import (
+    FpMatrix,
     FpPolynomial,
     PrimeField,
     _is_prime,
     integer_resultant,
+    matrix_power_mod,
     matrix_rank_det,
 )
 
@@ -57,6 +60,24 @@ def test_j_invariant_trichotomy():
     assert (j, aut) == (0, 6)
     j, aut = j_invariant_and_aut(curve(5, 1, 1))
     assert (j, aut) == (2, 2)
+
+
+def test_discriminant_and_j_invariant_are_the_rational_values_mod_p():
+    # GF(p) arithmetic is plain integers: 4a^3 + 27b^2 and
+    # j = 1728 * 4a^3 / (4a^3 + 27b^2), reduced mod p, for models given unreduced
+    rng = random.Random(23)
+    for p in (5, 7, 11, 13, 101, 2**61 - 1):
+        for _ in range(40):
+            a, b = rng.randrange(-3 * p, 3 * p), rng.randrange(-3 * p, 3 * p)
+            disc = 4 * a**3 + 27 * b**2
+            if disc % p == 0:
+                with pytest.raises(ValueError, match="singular model"):
+                    curve(p, a, b)
+                continue
+            model = curve(p, a, b)
+            assert model.discriminant_factor() == disc % p
+            j = Fraction(1728 * 4 * a**3, disc)
+            assert j_invariant_and_aut(model)[0] == j.numerator * pow(j.denominator, -1, p) % p
 
 
 def test_hasse_invariant_known_values():
@@ -447,7 +468,8 @@ def test_hyperelliptic_p_ranks_match_the_model_p_rank():
                 model = HyperellipticModel(fp)
                 assert rank == p_rank_hyperelliptic(model), (f, p)
                 # the rank of M^g itself, where the determinant decides nothing
-                assert rank == matrix_rank_det(cartier_manin(model) ** model.genus)[0], (f, p)
+                power = matrix_power_mod(cartier_manin(model).entries, model.genus, p)
+                assert rank == matrix_rank_det(FpMatrix(model.field, power))[0], (f, p)
                 seen.add(rank)
         assert rank_set is None or seen == rank_set, f
 

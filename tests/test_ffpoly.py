@@ -13,9 +13,12 @@ from isofib.ffpoly import (
     FpPolynomial,
     PrimeField,
     _is_prime,
+    matrix_mul_mod,
+    matrix_power_mod,
     matrix_rank_det,
     poly_pow_coeff,
-    recurrence_work,
+    rank_det_mod,
+    recurrence_work_mod,
 )
 
 F5 = PrimeField(5)
@@ -56,25 +59,21 @@ def test_is_prime_matches_sieve():
         assert not _is_prime(carmichael)
 
 
-def test_prime_field_basic_ops():
-    assert F7.add(5, 4) == 2
-    assert F7.mul(3, 5) == 1
-    assert F7.inv(3) == 5
-    with pytest.raises(ZeroDivisionError):
-        F7.inv(0)
-
-
 def test_is_square_euler_criterion():
-    squares = {F7.mul(x, x) for x in range(7)}
-    for x in range(7):
-        assert F7.is_square(x) == (x in squares)
+    for p in (5, 7, 11, 101):
+        field = PrimeField(p)
+        squares = {x * x % p for x in range(p)}
+        for x in range(-p, 2 * p):
+            assert field.is_square(x) == (x % p in squares), (p, x)
+        assert field.smallest_non_residue() == min(set(range(2, p)) - squares)
 
 
 def test_polynomial_normalization():
     f = FpPolynomial(F7, [1, 0, 0, 7, 0])
     assert f.coeffs == (1,)
     assert f.degree() == 0
-    assert FpPolynomial(F7, []).is_zero()
+    assert FpPolynomial(F7, []).coeffs == ()
+    assert FpPolynomial(F7, [0, 0]) == FpPolynomial.zero(F7)
     assert FpPolynomial(F7, [0, 0]).degree() == -1
 
 
@@ -91,7 +90,7 @@ def test_poly_pow_coeff_cube_of_x3_plus_x():
 
 
 def test_poly_pow_coeff_unit_polynomial():
-    one = FpPolynomial.one(F7)
+    one = FpPolynomial(F7, [1])
     assert poly_pow_coeff(one, 5, (0, 3)) == (1, 0)
 
 
@@ -163,24 +162,36 @@ def test_poly_pow_coeff_reads_every_cartier_entry():
 
 
 def test_recurrence_work_counts_steps_times_digits():
-    f = FpPolynomial(F7, [1, 1])  # (1 + x)^20 has degree 20
-    assert recurrence_work(f, 20, (3,)) == 3  # three steps from the low end, one digit
-    assert recurrence_work(f, 20, (10,)) == 10 * 2  # ten steps pass p = 7: two digits
-    assert recurrence_work(f, 20, (3, 17)) == 3 + 3  # one run from each end
-    assert recurrence_work(f, 20, (0, 50, -1)) == 0  # g_0 alone, and out of range
-    assert recurrence_work(FpPolynomial.zero(F7), 3, (1,)) == 0
+    f = (1, 1)  # (1 + x)^20 has degree 20
+    assert recurrence_work_mod(f, 7, 20, (3,)) == 3  # three steps from the low end, one digit
+    assert recurrence_work_mod(f, 7, 20, (10,)) == 10 * 2  # ten steps pass p = 7: two digits
+    assert recurrence_work_mod(f, 7, 20, (3, 17)) == 3 + 3  # one run from each end
+    assert recurrence_work_mod(f, 7, 20, (0, 50, -1)) == 0  # g_0 alone, and out of range
+    assert recurrence_work_mod((), 7, 3, (1,)) == 0
     # the Hasse invariant: (p - 1)/2 steps down from the top of (x^3 + x + 1)^((p-1)/2)
-    assert recurrence_work(FpPolynomial(PrimeField(101), [1, 1, 0, 1]), 50, (100,)) == 50
+    assert recurrence_work_mod((1, 1, 0, 1), 101, 50, (100,)) == 50
+    with pytest.raises(ValueError):
+        recurrence_work_mod(f, 7, -1, (0,))
 
 
-def test_recurrence_work_mod_needs_no_field():
+def test_recurrence_work_counts_the_runs_poly_pow_coeff_makes(monkeypatch):
     rng = random.Random(19)
+    runs = []
+    real_head = ffpoly._power_series_head
+
+    def recording_head(h, e, n, p):
+        runs.append(n * ffpoly._padic_digits(n, p))
+        return real_head(h, e, n, p)
+
+    monkeypatch.setattr(ffpoly, "_power_series_head", recording_head)
     for p in (5, 7, 101, 2203):
         for degree in range(9):
             f = _random_poly(rng, PrimeField(p), degree)
             e = (p - 1) // 2
             ks = [rng.randrange(-5, degree * e + 5) for _ in range(6)]
-            assert ffpoly.recurrence_work_mod(f.coeffs, p, e, ks) == recurrence_work(f, e, ks)
+            runs.clear()
+            poly_pow_coeff(f, e, ks)
+            assert recurrence_work_mod(f.coeffs, p, e, ks) == sum(runs), (p, f.coeffs, ks)
 
 
 # integer polynomials: h(0) not +-1, non-monic, sparse, a unit h(0); then
@@ -308,7 +319,7 @@ def test_integer_resultant_matches_the_sylvester_determinant():
 
 def test_poly_pow_matches_repeated_product():
     f = FpPolynomial(F5, [2, 3, 0, 1])
-    acc = FpPolynomial.one(F5)
+    acc = FpPolynomial(F5, [1])
     for e in range(6):
         assert f**e == acc
         acc = acc * f
@@ -384,7 +395,7 @@ def _sylvester(f: FpPolynomial, g: FpPolynomial) -> FpMatrix:
 def _squarefree_by_resultant(f: FpPolynomial) -> bool:
     """For deg f >= 1: f' != 0 and Res(f, f') = det Syl(f, f') != 0."""
     derivative = FpPolynomial(f.field, [i * c for i, c in enumerate(f.coeffs)][1:])
-    return not derivative.is_zero() and matrix_rank_det(_sylvester(f, derivative))[1] != 0
+    return derivative.degree() >= 0 and matrix_rank_det(_sylvester(f, derivative))[1] != 0
 
 
 def test_is_squarefree_matches_the_resultant():
@@ -412,8 +423,10 @@ def test_is_squarefree_matches_the_resultant():
 
 
 def test_matrix_rank_det_identity_and_zero():
-    assert matrix_rank_det(FpMatrix.identity(F5, 2)) == (2, 1)
+    assert matrix_rank_det(FpMatrix(F5, [[1, 0], [0, 1]])) == (2, 1)
     assert matrix_rank_det(FpMatrix(F5, [[0, 0], [0, 0]])) == (0, 0)
+    assert rank_det_mod([[1, 0], [0, 1]], 2, 5) == (2, 1)
+    assert rank_det_mod([[0, 0], [0, 0]], 2, 5) == (0, 0)
 
 
 def test_matrix_rank_det_dependent_rows():
@@ -460,14 +473,15 @@ def test_matrix_rank_against_row_space_enumeration():
 
 
 def test_matrix_power():
-    m = FpMatrix(F7, [[0, 3], [0, 0]])
-    assert (m**2).entries == ((0, 0), (0, 0))
-    assert (m**0).entries == FpMatrix.identity(F7, 2).entries
+    m = [[0, 3], [0, 0]]
+    assert matrix_power_mod(m, 1, 7) == m
+    assert matrix_power_mod(m, 2, 7) == [[0, 0], [0, 0]]
+    assert matrix_mul_mod([[1, 2], [3, 4]], [[5, 6], [7, 8]], 7) == [[5, 1], [1, 1]]  # 19, 22; 43, 50
 
 
 def test_matrix_power_is_the_repeated_product_with_fewest_multiplies(monkeypatch):
-    m = FpMatrix(F7, [[1, 2, 3], [4, 5, 6], [0, 1, 2]])
-    acc = FpMatrix.identity(F7, 3)
+    m = [[1, 2, 3], [4, 5, 6], [0, 1, 2]]
+    acc = m
     products = []
     real_mul = ffpoly.matrix_mul_mod
 
@@ -475,14 +489,14 @@ def test_matrix_power_is_the_repeated_product_with_fewest_multiplies(monkeypatch
         products.append(None)
         return real_mul(a, b, p)
 
-    for e in range(7):
+    for e in range(1, 7):
         monkeypatch.setattr(ffpoly, "matrix_mul_mod", recording_mul)
         products.clear()
-        powered = m**e
+        powered = matrix_power_mod(m, e, 7)
         monkeypatch.setattr(ffpoly, "matrix_mul_mod", real_mul)
-        assert powered == acc, e
-        assert len(products) == (0, 0, 1, 2, 2, 3, 3)[e], e
-        acc = acc * m
+        assert [[c % 7 for c in row] for row in powered] == acc, e
+        assert len(products) == (0, 1, 2, 2, 3, 3)[e - 1], e
+        acc = real_mul(acc, m, 7)
 
 
 def test_ext_field_modulus_choice():
