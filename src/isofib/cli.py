@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 
 from .curves import (
@@ -354,7 +353,7 @@ def decide_payload(spec: FibrationSpec, overrides: dict) -> dict:
         "clause": verdict.clause,
         "reasons": list(verdict.reasons),
         "report": {
-            name: None if report.get(name) is None else asdict(report.get(name))
+            name: None if report.get(name) is None else dict(vars(report.get(name)))
             for name in CURVE_NAMES
         },
         "consistency_violation": check_supersingular_corollary(spec, verdict, report),
@@ -640,42 +639,80 @@ def cmd_scan(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="isofib",
-        description="Invariants and ordinarity of isotrivial elliptic surfaces over GF(p)",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _invariants_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("spec_file")
+    parser.add_argument("--format", choices=["text", "json"], default="text")
+    parser.set_defaults(func=cmd_invariants)
 
-    p_inv = sub.add_parser("invariants", help="numerical invariants and fiber types")
-    p_inv.add_argument("spec_file")
-    p_inv.add_argument("--format", choices=["text", "json"], default="text")
-    p_inv.set_defaults(func=cmd_invariants)
 
-    p_dec = sub.add_parser("decide", help="ordinarity verdict and Hasse divisor")
-    p_dec.add_argument("spec_file")
-    p_dec.add_argument(
+def _decide_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("spec_file")
+    parser.add_argument(
         "--set",
         action="append",
         metavar="NAME=VALUE",
         help="supply ordinarity data: E/C/Dp/Dpp/Dppp = ordinary|nonordinary|<p-rank>",
     )
-    p_dec.add_argument("--format", choices=["text", "json"], default="text")
-    p_dec.set_defaults(func=cmd_decide)
+    parser.add_argument("--format", choices=["text", "json"], default="text")
+    parser.set_defaults(func=cmd_decide)
 
-    p_ver = sub.add_parser("verify-examples", help="run the built-in golden example suite")
-    p_ver.set_defaults(func=cmd_verify_examples)
 
-    p_scan = sub.add_parser("scan", help="ordinary-reduction scan over primes")
-    p_scan.add_argument("scan_file")
-    p_scan.add_argument("--pmax", type=int, required=True)
-    p_scan.add_argument("--format", choices=["tsv", "json"], default="tsv")
-    p_scan.set_defaults(func=cmd_scan)
+def _verify_examples_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.set_defaults(func=cmd_verify_examples)
+
+
+def _scan_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("scan_file")
+    parser.add_argument("--pmax", type=int, required=True)
+    parser.add_argument("--format", choices=["tsv", "json"], default="tsv")
+    parser.set_defaults(func=cmd_scan)
+
+
+# command -> (help line, function adding its arguments and handler to a parser).
+# Each adder names its handler at call time, so a handler replaced on the
+# module (a test spy, a tracing wrapper) is the one that runs.
+_COMMANDS = {
+    "invariants": ("numerical invariants and fiber types", _invariants_arguments),
+    "decide": ("ordinarity verdict and Hasse divisor", _decide_arguments),
+    "verify-examples": ("run the built-in golden example suite", _verify_examples_arguments),
+    "scan": ("ordinary-reduction scan over primes", _scan_arguments),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The whole command tree: the top-level parser and one subparser per command."""
+    parser = argparse.ArgumentParser(
+        prog="isofib",
+        description="Invariants and ordinarity of isotrivial elliptic surfaces over GF(p)",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_arguments) in _COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_line))
     return parser
 
 
+def _parse_command_line(argv: list[str]) -> argparse.Namespace:
+    """The parsed arguments of argv, building only the parser of its command.
+
+    A subparser of the whole tree is ``ArgumentParser(prog="isofib <name>")``
+    handed every argument after the name, so when argv starts with an exact
+    command name that parser alone gives the same namespace, help, usage and
+    errors.  Anything else (no command, a top-level option, an unknown or
+    abbreviated name, arguments the command leaves over) goes through the
+    whole tree, which reports it as before.
+    """
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is not None:
+        parser = argparse.ArgumentParser(prog=f"isofib {argv[0]}")
+        command[1](parser)
+        args, extras = parser.parse_known_args(argv[1:])
+        if not extras:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_command_line(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except SpecDocumentError as exc:

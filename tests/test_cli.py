@@ -1,10 +1,14 @@
 """End-to-end checks of the command-line surface."""
 
+import argparse
 import hashlib
 import json
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 from time import perf_counter
 
 import pytest
@@ -714,3 +718,97 @@ def test_console_entry_point_help():
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
+
+
+def _run_captured(capsys, call, argv):
+    """(exit code, stdout, stderr) of call(argv); a SystemExit gives its code."""
+    try:
+        code = call(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def _command_line_corpus(tmp_path):
+    spec = write_spec(tmp_path, EXAMPLE_RATIONAL)
+    scan = write_spec(tmp_path, {"E": {"a": 2, "b": 3}}, name="scan.json")
+    return [
+        [], ["-h"], ["--help"], ["-h", "scan"], ["bogus"], ["sc"],
+        ["--", "scan", scan, "--pmax", "30"],
+        ["scan", "-h"], ["decide", "-h"], ["verify-examples", "-h"], ["invariants", "-h"],
+        ["scan", scan, "--pmax", "30", "-h"],
+        ["scan", scan], ["scan", scan, "--pmax", "x"], ["scan", scan, "--pmax", "-5"],
+        ["scan", scan, "--pmax", "30", "--format", "xml"],
+        ["scan", scan, "--pmax", "30", "--format", "json", "--format", "tsv"],
+        ["scan", scan, "--pm", "30"], ["decide", spec, "--se", "E=ordinary"],
+        ["invariants", spec, "--form", "json"], ["scan", scan, "--pmax", "30", "--format=json"],
+        ["scan", "--pmax", "30", scan], ["decide", spec, "--set"],
+        ["scan", scan, "--pmax", "30", "--bogus"], ["invariants", spec, "extra"],
+        ["verify-examples", "x"], ["scan", scan, "--pmax", "30", "--", "more"],
+        ["invariants", str(tmp_path / "missing.json")], ["decide"],
+        ["invariants", spec], ["decide", spec, "--format", "json"], ["verify-examples"],
+    ]
+
+
+def test_each_command_line_behaves_as_through_the_whole_parser_tree(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # help wraps to the terminal width
+    corpus = _command_line_corpus(tmp_path)
+    own = [_run_captured(capsys, main, argv) for argv in corpus]
+    monkeypatch.setattr(cli, "_parse_command_line", lambda argv: cli.build_parser().parse_args(argv))
+    whole = [_run_captured(capsys, main, argv) for argv in corpus]
+    for argv, got, want in zip(corpus, own, whole):
+        assert got == want, argv
+    assert {code for code, _, _ in own} == {EXIT_OK, EXIT_VALIDATION, EXIT_PARSE}
+
+
+def test_a_command_builds_only_its_own_parser(tmp_path, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    spec = write_spec(tmp_path, EXAMPLE_RATIONAL)
+    scan = write_spec(tmp_path, {"E": {"a": 2, "b": 3}}, name="scan.json")
+    for argv in (["invariants", spec], ["decide", spec], ["verify-examples"],
+                 ["scan", scan, "--pmax", "30"]):
+        built.clear()
+        assert main(argv) == EXIT_OK, argv
+        assert built == [f"isofib {argv[0]}"], argv
+    built.clear()
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert built == ["isofib"] + [f"isofib {name}" for name in
+                                  ("invariants", "decide", "verify-examples", "scan")]
+
+
+def test_a_command_runs_the_handler_bound_on_the_module_at_call_time(tmp_path, monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "cmd_scan", lambda args: seen.append(args) or 7)
+    scan = write_spec(tmp_path, {"E": {"a": 2, "b": 3}}, name="scan.json")
+    assert main(["scan", scan, "--pmax", "30"]) == 7
+    assert [(a.scan_file, a.pmax, a.format) for a in seen] == [(scan, 30, "tsv")]
+
+
+def test_the_module_entry_point_reads_its_arguments_from_the_process(tmp_path, capsys):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    scan = write_spec(tmp_path, {"E": {"a": 2, "b": 3}}, name="scan.json")
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "isofib.cli", *argv], env=env,
+                              capture_output=True, timeout=60)
+
+    proc = run("scan", scan, "--pmax", "60", "--format", "json")
+    assert main(["scan", scan, "--pmax", "60", "--format", "json"]) == EXIT_OK
+    assert (proc.returncode, proc.stdout) == (EXIT_OK, capsys.readouterr().out.encode())
+    proc = run("scan", scan)
+    assert proc.returncode == 2
+    assert proc.stderr.decode().endswith("the following arguments are required: --pmax\n")
+    proc = run("--help")
+    assert proc.returncode == 0
+    assert proc.stdout.startswith(b"usage: isofib ")
