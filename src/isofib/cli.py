@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from fractions import Fraction
 
 from .curves import (
     BRANCH_MAX_DEGREE,
@@ -337,7 +337,7 @@ def decide_payload(spec: FibrationSpec, overrides: dict) -> dict:
     report = build_report(spec, overrides)
     verdict = decide(spec, report)
     divisor = None
-    e_entry = report.get("E")
+    e_entry = report.E
     if e_entry is not None and e_entry.ordinary:
         divisor = hasse_divisor(spec, report)
         fibers = sum(count for _, _, count in divisor.entries)
@@ -353,7 +353,7 @@ def decide_payload(spec: FibrationSpec, overrides: dict) -> dict:
         "clause": verdict.clause,
         "reasons": list(verdict.reasons),
         "report": {
-            name: None if report.get(name) is None else dict(vars(report.get(name)))
+            name: None if getattr(report, name) is None else dict(vars(getattr(report, name)))
             for name in CURVE_NAMES
         },
         "consistency_violation": check_supersingular_corollary(spec, verdict, report),
@@ -582,7 +582,7 @@ def _branch_rows(curve: EllipticCurveQ, branch: list[int], primes: list[int]) ->
             # the shape carries no models: the ranks computed above stand in for them
             report = build_report(shape, {"E": ranks[0], "Dp": ranks[1]})
             answers[ranks] = (
-                report.e.ordinary, bool(report.dp.ordinary), decide(shape, report).ordinary
+                report.E.ordinary, bool(report.Dp.ordinary), decide(shape, report).ordinary
             )
         rows.append(_scan_row(p, *answers[ranks]))
     return rows
@@ -601,15 +601,15 @@ def cmd_scan(args) -> int:
         rows = _branch_rows(curve, branch, primes)
     good = [r for r in rows if r["good"]]
     ordinary = [r for r in good if r["verdict"]]
-    fraction = Fraction(len(ordinary), len(good)) if good else None
 
     if args.format == "json":
         # the bytes of json.dumps(indent=2, sort_keys=True), whose indented
         # encoder is pure Python: the summary through it, each row by template
+        divisor = math.gcd(len(ordinary), len(good))
         summary = json.dumps({
             "good_primes": len(good),
             "ordinary_primes": len(ordinary),
-            "ordinary_fraction": None if fraction is None else [fraction.numerator, fraction.denominator],
+            "ordinary_fraction": [len(ordinary) // divisor, len(good) // divisor] if good else None,
         }, indent=2, sort_keys=True)
         lit = {None: "null", False: "false", True: "true"}
         text = ",\n".join(_JSON_ROW % (
@@ -626,12 +626,12 @@ def cmd_scan(args) -> int:
     print("p\tgood\tE_ord\tDp_ord\tverdict")
     for r in rows:
         print(f"{r['p']}\t{cell(r['good'])}\t{cell(r['E_ord'])}\t{cell(r['Dp_ord'])}\t{cell(r['verdict'])}")
-    if fraction is None:
+    if not good:
         print("# no good primes in range")
     else:
         print(
             f"# ordinary at {len(ordinary)}/{len(good)} good primes "
-            f"(fraction {float(fraction):.4f})"
+            f"(fraction {len(ordinary) / len(good):.4f})"
         )
     return EXIT_OK
 

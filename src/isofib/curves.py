@@ -5,9 +5,10 @@ Two routes to every ordinarity fact:
 * the closed form: Hasse invariant (elliptic) and the Cartier operator matrix
   on regular one-forms (hyperelliptic), both a few coefficients of
   f^((p-1)/2) that ``poly_pow_coeff`` computes without building the power;
-* the oracle: exhaustive point counts over GF(p) (and GF(p^2) for genus 2),
+* the oracle: exhaustive point counts over GF(p) (and GF(p^2) for genus 2,
+  on integer pairs a + b*w whose squares are told by their norm to GF(p)),
   turned into the numerator of the zeta function, whose reduction mod p has
-  degree equal to the p-rank.
+  degree equal to the p-rank.  It shares no code with the kernel.
 
 A scan asks for these facts at every prime up to a bound, and
 ``ffpoly.half_power_windows`` answers each of them for all primes from one
@@ -40,9 +41,9 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from operator import index
 
 from .ffpoly import (
-    ExtField,
     FpMatrix,
     FpPolynomial,
     PrimeField,
@@ -55,7 +56,7 @@ from .ffpoly import (
 )
 
 POINT_COUNT_MAX_P = 10_000
-ZETA_MAX_P = 13
+ZETA_MAX_P = 101
 ZETA_MAX_GENUS = 2
 CLOSED_FORM_MAX_DEGREE = 150_000  # largest deg f^((p-1)/2) built as a whole power
 BRANCH_MAX_DEGREE = 100  # largest deg f the closed forms take: the Cartier route costs about g^3
@@ -76,8 +77,8 @@ class EllipticCurveW:
 
     def __init__(self, field: PrimeField, a: int, b: int):
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "a", a % field.p)
-        object.__setattr__(self, "b", b % field.p)
+        object.__setattr__(self, "a", index(a) % field.p)
+        object.__setattr__(self, "b", index(b) % field.p)
         if self.discriminant_factor() == 0:
             raise ValueError(
                 f"singular model: 4a^3 + 27b^2 = 0 mod {field.p} for a={self.a}, b={self.b}"
@@ -99,17 +100,12 @@ class EllipticCurveQ:
     discriminant: int = dataclasses.field(init=False, compare=False, repr=False)  # 4a^3 + 27b^2
 
     def __post_init__(self):
-        object.__setattr__(self, "discriminant", 4 * self.a**3 + 27 * self.b**2)
+        object.__setattr__(self, "discriminant", 4 * index(self.a) ** 3 + 27 * index(self.b) ** 2)
         if self.discriminant == 0:
             raise ValueError("singular integral model: 4a^3 + 27b^2 = 0")
 
     def has_good_reduction(self, p: int) -> bool:
         return p > 3 and self.discriminant % p != 0
-
-    def reduce(self, field: PrimeField) -> EllipticCurveW:
-        if not self.has_good_reduction(field.p):
-            raise ValueError(f"bad reduction at p={field.p}")
-        return EllipticCurveW(field, self.a % field.p, self.b % field.p)
 
 
 @dataclass(frozen=True)
@@ -366,23 +362,30 @@ def _points_at_infinity_prime(model: HyperellipticModel) -> int:
 
 
 def _count_over_ext(model: HyperellipticModel) -> int:
-    """Points of the smooth model over GF(p^2), infinity included."""
-    ext = ExtField(model.field)
-    coeffs = [ext.embed(c) for c in model.f.coeffs]
-    count = 0
-    for x in ext.elements():
-        acc = ext.zero()
-        for c in reversed(coeffs):
-            acc = ext.add(ext.mul(acc, x), c)
-        if acc == ext.zero():
-            count += 1
-        elif ext.is_square(acc):
-            count += 2
-    if model.f.degree() % 2 == 1:
-        count += 1
-    else:
-        # every element of GF(p)* is a square in GF(p^2), but test honestly
-        count += 2 if ext.is_square(ext.embed(model.f.leading_coeff())) else 0
+    """Points of the smooth model over GF(p^2), infinity included.
+
+    GF(p^2) is GF(p)[w]/(w^2 - n) for the smallest non-residue n, and f is
+    evaluated by Horner's rule at each x = a + b*w, as the pair (u, v) of
+    f(x) = u + v*w.  A nonzero f(x) is a square in GF(p^2) exactly when its
+    norm u^2 - n*v^2 is a square in GF(p), since x^((p^2-1)/2) =
+    N(x)^((p-1)/2); the norm vanishes only at f(x) = 0.
+    """
+    field = model.field
+    p, n = field.p, field.smallest_non_residue()
+    coeffs = model.f.coeffs[::-1]
+    # infinity: one point for odd degree, else two, as every element of
+    # GF(p)* (the leading coefficient among them) is a square in GF(p^2)
+    count = 1 if model.f.degree() % 2 else 2
+    for a in range(p):
+        for b in range(p):
+            u = v = 0
+            for c in coeffs:
+                u, v = (u * a + n * v * b + c) % p, (u * b + v * a) % p
+            norm = (u * u - n * v * v) % p
+            if not norm:
+                count += 1
+            elif field.is_square(norm):
+                count += 2
     return count
 
 

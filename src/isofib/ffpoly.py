@@ -1,4 +1,4 @@
-"""Exact arithmetic over GF(p), its quadratic extension, polynomials and matrices.
+"""Exact arithmetic over GF(p): integers, polynomials and matrices.
 
 Field elements are plain Python integers in ``[0, p)``, and GF(p) arithmetic
 on them is Python's own (``% p``, ``pow(x, e, p)``, ``pow(x, -1, p)``); a
@@ -8,7 +8,8 @@ trailing coefficient nonzero (the zero polynomial is the empty tuple).
 Matrices are rows of integers: ``matrix_mul_mod``, ``matrix_power_mod`` and
 ``rank_det_mod`` are the one implementation of matrix arithmetic mod p, and an
 ``FpMatrix`` only carries a field and its reduced rows.  Everything is exact:
-no floating point, no external bignum library.
+no floating point, no external bignum library.  The value types are immutable
+and take integers only (anything without ``__index__`` raises TypeError).
 
 Polynomials have one exact multiply (byte-aligned Kronecker substitution),
 one power built on it for callers that need the whole of f^e, one coefficient
@@ -24,17 +25,13 @@ still to be read (p^2 for an index between p and 2p), and computes only the
 entries each read asks for; h = H(x^d) runs as H.  ``integer_resultant``
 gives Res(f, f') once by subresultants, so that a scan knows where f mod p
 is squarefree without a test per prime.
-
-The quadratic extension GF(p^2) is realized as GF(p)[w]/(w^2 - n) with n the
-smallest positive quadratic non-residue mod p, chosen deterministically so
-that runs are reproducible.  Elements are pairs ``(a, b)`` meaning a + b*w.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from operator import index
 
 _MACHINE_WORD_LIMIT = 2**63
 
@@ -80,7 +77,13 @@ class PrimeField:
             raise ValueError(f"modulus {p} is not prime")
         if p <= 3:
             raise ValueError(f"modulus {p} not allowed: characteristic must exceed 3")
-        self.p = p
+        object.__setattr__(self, "p", p)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"PrimeField is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"PrimeField is immutable: cannot delete {name!r}")
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PrimeField) and self.p == other.p
@@ -150,7 +153,7 @@ class FpPolynomial:
 
     def __init__(self, field: PrimeField, coeffs=()):
         object.__setattr__(self, "field", field)
-        reduced = [int(c) % field.p for c in coeffs]
+        reduced = [index(c) % field.p for c in coeffs]
         object.__setattr__(self, "coeffs", _normalize(reduced))
 
     @staticmethod
@@ -519,7 +522,7 @@ class FpMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __init__(self, field: PrimeField, entries):
-        rows = [tuple(int(c) % field.p for c in row) for row in entries]
+        rows = [tuple(index(c) % field.p for c in row) for row in entries]
         ncols = len(rows[0]) if rows else 0
         if any(len(r) != ncols for r in rows):
             raise ValueError("ragged matrix rows")
@@ -601,70 +604,3 @@ def rank_det_mod(rows, cols: int, p: int) -> tuple[int, int]:
     if sign_swaps % 2:
         det = (-det) % p
     return rank, det
-
-
-# ---------------------------------------------------------------------------
-# the quadratic extension GF(p^2)
-
-ExtElement = tuple[int, int]
-
-
-class ExtField:
-    """GF(p^2) = GF(p)[w]/(w^2 - n), n the smallest non-residue mod p.
-
-    Elements are pairs (a, b) of residues representing a + b*w.  Since n is
-    a non-residue, w^p = -w, so x -> x^p maps a + b*w to a - b*w.
-    """
-
-    __slots__ = ("base", "non_residue")
-
-    def __init__(self, base: PrimeField):
-        self.base = base
-        self.non_residue = base.smallest_non_residue()
-
-    @property
-    def order(self) -> int:
-        return self.base.p * self.base.p
-
-    def zero(self) -> ExtElement:
-        return (0, 0)
-
-    def one(self) -> ExtElement:
-        return (1, 0)
-
-    def embed(self, a: int) -> ExtElement:
-        return (a % self.base.p, 0)
-
-    def add(self, x: ExtElement, y: ExtElement) -> ExtElement:
-        p = self.base.p
-        return ((x[0] + y[0]) % p, (x[1] + y[1]) % p)
-
-    def mul(self, x: ExtElement, y: ExtElement) -> ExtElement:
-        p = self.base.p
-        a, b = x
-        c, d = y
-        return ((a * c + self.non_residue * b * d) % p, (a * d + b * c) % p)
-
-    def pow_(self, x: ExtElement, e: int) -> ExtElement:
-        if e < 0:
-            raise ValueError("negative power")
-        result = self.one()
-        base = x
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
-
-    def is_square(self, x: ExtElement) -> bool:
-        if x == (0, 0):
-            return True
-        return self.pow_(x, (self.order - 1) // 2) == self.one()
-
-    def elements(self) -> Iterator[ExtElement]:
-        p = self.base.p
-        for a in range(p):
-            for b in range(p):
-                yield (a, b)
-

@@ -25,6 +25,7 @@ import enum
 import functools
 from dataclasses import dataclass
 from math import gcd
+from operator import index
 
 from .curves import EllipticCurveW, HyperellipticModel, j_invariant_and_aut
 from .ffpoly import FpPolynomial, PrimeField
@@ -60,7 +61,7 @@ class TranslationClass:
     n2: int
 
     def __post_init__(self):
-        if self.n2 < 1 or self.n1 < 1:
+        if index(self.n2) < 1 or index(self.n1) < 1:
             raise ValueError("translation orders must be positive")
         if self.n1 % self.n2 != 0:
             raise ValueError(f"n2={self.n2} must divide n1={self.n1}")
@@ -87,7 +88,7 @@ class RamificationData:
 
     def __post_init__(self):
         for name in RAM_KEYS:
-            if getattr(self, name) < 0:
+            if index(getattr(self, name)) < 0:
                 raise ValueError(f"{name} must be nonnegative")
 
     def flipped(self) -> "RamificationData":
@@ -127,7 +128,7 @@ class FibrationSpec:
     invariants: SurfaceInvariants = dataclasses.field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.genus_base < 0:
+        if index(self.genus_base) < 0:
             raise ValueError("base genus must be nonnegative")
         violations = validate_spec(self)
         if violations:

@@ -27,6 +27,7 @@ form, and the matrix of Frobenius on H^1(O(-d)) extracted from it coincides
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 from .curves import (
     EllipticCurveW,
@@ -76,8 +77,9 @@ class CurveReportEntry:
     provenance: str
 
     def __post_init__(self):
+        index(self.genus)  # integers only: anything else raises TypeError
         if self.p_rank is not None:
-            if not 0 <= self.p_rank <= self.genus:
+            if not 0 <= index(self.p_rank) <= self.genus:
                 raise ValueError(f"p-rank {self.p_rank} outside [0, {self.genus}]")
             expected = self.p_rank == self.genus
             if self.ordinary is None:
@@ -91,22 +93,14 @@ class CurveReportEntry:
 
 @dataclass(frozen=True)
 class CurveOrdinarityReport:
-    """Ordinarity data for E, C and the cover tower D', D'', D'''."""
+    """Ordinarity data for E, C and the cover tower D', D'', D''', one field per
+    name in CURVE_NAMES."""
 
-    e: CurveReportEntry | None = None
-    c: CurveReportEntry | None = None
-    dp: CurveReportEntry | None = None
-    dpp: CurveReportEntry | None = None
-    dppp: CurveReportEntry | None = None
-
-    def get(self, name: str) -> CurveReportEntry | None:
-        return {
-            "E": self.e,
-            "C": self.c,
-            "Dp": self.dp,
-            "Dpp": self.dpp,
-            "Dppp": self.dppp,
-        }[name]
+    E: CurveReportEntry | None = None
+    C: CurveReportEntry | None = None
+    Dp: CurveReportEntry | None = None
+    Dpp: CurveReportEntry | None = None
+    Dppp: CurveReportEntry | None = None
 
 
 @dataclass(frozen=True)
@@ -223,19 +217,13 @@ def build_report(spec: FibrationSpec, overrides: dict | None = None) -> CurveOrd
             continue  # computed wins
         entries[name] = supplied
 
-    return CurveOrdinarityReport(
-        e=entries["E"],
-        c=entries["C"],
-        dp=entries["Dp"],
-        dpp=entries["Dpp"],
-        dppp=entries["Dppp"],
-    )
+    return CurveOrdinarityReport(**entries)
 
 
 def _require(report: CurveOrdinarityReport, names: list[str], want_rank: bool = False):
     missing = []
     for name in names:
-        entry = report.get(name)
+        entry = getattr(report, name)
         if entry is None or entry.ordinary is None:
             missing.append(name)
         elif want_rank and entry.p_rank is None:
@@ -258,13 +246,13 @@ def decide(spec: FibrationSpec, report: CurveOrdinarityReport) -> OrdinarityVerd
     reasons: list[str] = []
 
     def entry_reason(name: str) -> str:
-        entry = report.get(name)
+        entry = getattr(report, name)
         rank = f", p-rank {entry.p_rank}" if entry.p_rank is not None else ""
         return f"{name}: genus {entry.genus}{rank}, ordinary={entry.ordinary}"
 
     if rot is Rotation.TRIVIAL:
         _require(report, ["E", "C"])
-        ordinary = bool(report.e.ordinary and report.c.ordinary)
+        ordinary = bool(report.E.ordinary and report.C.ordinary)
         reasons += [entry_reason("E"), entry_reason("C")]
         return OrdinarityVerdict(SCOPE_SINGLE, ordinary, CLAUSE_TRIVIAL, tuple(reasons))
 
@@ -276,7 +264,7 @@ def decide(spec: FibrationSpec, report: CurveOrdinarityReport) -> OrdinarityVerd
             )
             return OrdinarityVerdict(SCOPE_SINGLE, True, CLAUSE_RATIONAL, tuple(reasons))
         _require(report, ["E"])
-        if not report.e.ordinary:
+        if not report.E.ordinary:
             reasons.append(entry_reason("E"))
             if inv.h2 > 0:
                 reasons.append(
@@ -287,7 +275,7 @@ def decide(spec: FibrationSpec, report: CurveOrdinarityReport) -> OrdinarityVerd
         _require(report, ["Dp"])
         reasons += [entry_reason("E"), entry_reason("Dp")]
         return OrdinarityVerdict(
-            SCOPE_SINGLE, bool(report.dp.ordinary), CLAUSE_ORDER_2, tuple(reasons)
+            SCOPE_SINGLE, bool(report.Dp.ordinary), CLAUSE_ORDER_2, tuple(reasons)
         )
 
     # pair clauses: X together with the conjugate surface X'
@@ -302,25 +290,25 @@ def decide(spec: FibrationSpec, report: CurveOrdinarityReport) -> OrdinarityVerd
 
     if rot is Rotation.C3:
         _require(report, ["E"])
-        if not report.e.ordinary:
+        if not report.E.ordinary:
             reasons.append(entry_reason("E"))
             return OrdinarityVerdict(SCOPE_PAIR, False, CLAUSE_ORDER_3, tuple(reasons))
         _require(report, ["Dp"])
         reasons += [entry_reason("E"), entry_reason("Dp")]
         return OrdinarityVerdict(
-            SCOPE_PAIR, bool(report.dp.ordinary), CLAUSE_ORDER_3, tuple(reasons)
+            SCOPE_PAIR, bool(report.Dp.ordinary), CLAUSE_ORDER_3, tuple(reasons)
         )
 
     clause = CLAUSE_ORDER_4 if rot is Rotation.C4 else CLAUSE_ORDER_6
     deep_name = "Dpp" if rot is Rotation.C4 else "Dppp"
     _require(report, ["E", "C"])
     reasons += [entry_reason("E"), entry_reason("C")]
-    if not (report.e.ordinary and report.c.ordinary):
+    if not (report.E.ordinary and report.C.ordinary):
         return OrdinarityVerdict(SCOPE_PAIR, False, clause, tuple(reasons))
     _require(report, ["Dp", deep_name], want_rank=True)
-    deep = report.get(deep_name)
-    genus_drop = report.dp.genus - deep.genus
-    rank_drop = report.dp.p_rank - deep.p_rank
+    deep = getattr(report, deep_name)
+    genus_drop = report.Dp.genus - deep.genus
+    rank_drop = report.Dp.p_rank - deep.p_rank
     reasons.append(entry_reason("Dp"))
     reasons.append(entry_reason(deep_name))
     reasons.append(
@@ -335,7 +323,7 @@ def check_supersingular_corollary(
 ) -> str | None:
     """Consistency check: a supersingular fiber on an ordinary surface forces
     a rational X over the projective line.  Returns a violation message or None."""
-    entry = report.get("E")
+    entry = report.E
     if entry is None or entry.ordinary is None or entry.ordinary:
         return None
     if not verdict.ordinary:
@@ -358,7 +346,7 @@ def hasse_divisor(spec: FibrationSpec, report: CurveOrdinarityReport) -> HasseDi
     integer precisely because the fiber ordinarity forces the congruence on p
     (1 mod 4 for rotation order 4, 1 mod 3 for orders 3 and 6).
     """
-    entry = report.get("E")
+    entry = report.E
     if entry is None or entry.ordinary is None:
         raise MissingReportDataError(["E"])
     if not entry.ordinary:

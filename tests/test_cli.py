@@ -812,3 +812,13 @@ def test_the_module_entry_point_reads_its_arguments_from_the_process(tmp_path, c
     proc = run("--help")
     assert proc.returncode == 0
     assert proc.stdout.startswith(b"usage: isofib ")
+
+
+def test_importing_the_command_line_loads_no_fraction_or_decimal_modules():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys, isofib.cli; "
+            "print(' '.join(m for m in ('fractions', 'decimal', '_decimal', 'numbers') "
+            "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "\n", "")

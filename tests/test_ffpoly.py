@@ -8,7 +8,6 @@ import pytest
 from helpers import bareiss_resultant
 from isofib import ffpoly
 from isofib.ffpoly import (
-    ExtField,
     FpMatrix,
     FpPolynomial,
     PrimeField,
@@ -498,47 +497,3 @@ def test_matrix_power_is_the_repeated_product_with_fewest_multiplies(monkeypatch
         assert len(products) == (0, 1, 2, 2, 3, 3)[e - 1], e
         acc = real_mul(acc, m, 7)
 
-
-def test_ext_field_modulus_choice():
-    # squares mod 7 are {1, 2, 4}: smallest non-residue is 3
-    ext = ExtField(F7)
-    assert ext.non_residue == 3
-    w = (0, 1)
-    assert ext.mul(w, w) == (3, 0)
-
-
-def test_ext_field_frobenius_fixes_base_field():
-    ext = ExtField(F7)
-    for a in range(7):
-        assert ext.pow_(ext.embed(a), 7) == ext.embed(a)
-
-
-def test_ext_field_frobenius_involution_and_homomorphism():
-    rng = random.Random(41)
-    for p in (5, 7, 11, 13):
-        ext = ExtField(PrimeField(p))
-        for _ in range(100):
-            x = (rng.randrange(p), rng.randrange(p))
-            y = (rng.randrange(p), rng.randrange(p))
-            fx, fy = ext.pow_(x, p), ext.pow_(y, p)
-            assert ext.pow_(fx, p) == x
-            assert ext.pow_(ext.add(x, y), p) == ext.add(fx, fy)
-            assert ext.pow_(ext.mul(x, y), p) == ext.mul(fx, fy)
-            # w^p = -w: the p-th power map is the conjugation a + bw -> a - bw
-            assert fx == (x[0], -x[1] % p)
-
-
-def test_ext_field_inverse():
-    # x^(p^2 - 2) is the inverse of every nonzero x in GF(p^2)
-    ext = ExtField(F5)
-    for x in ext.elements():
-        if x == (0, 0):
-            continue
-        assert ext.mul(x, ext.pow_(x, ext.order - 2)) == ext.one()
-
-
-def test_ext_field_square_count():
-    # GF(25)*: exactly half the nonzero elements are squares
-    ext = ExtField(F5)
-    squares = sum(1 for x in ext.elements() if x != (0, 0) and ext.is_square(x))
-    assert squares == (25 - 1) // 2

@@ -53,9 +53,9 @@ def test_report_entry_invariants():
 def test_build_report_from_explicit_models():
     spec = make_spec(Rotation.C2, p=5, a2=2, e_model=EllipticCurveW(F5, 0, 1), branch=[0, 1])
     report = build_report(spec)
-    assert report.e.p_rank == 0 and report.e.provenance == "computed-from-model"
-    assert report.c.p_rank == 0
-    assert report.dp.genus == 0 and report.dp.ordinary
+    assert report.E.p_rank == 0 and report.E.provenance == "computed-from-model"
+    assert report.C.p_rank == 0
+    assert report.Dp.genus == 0 and report.Dp.ordinary
 
 
 def test_build_report_override_mismatch_is_fatal():
@@ -63,7 +63,7 @@ def test_build_report_override_mismatch_is_fatal():
     with pytest.raises(ValueError, match="contradicts"):
         build_report(spec, {"E": "ordinary"})  # the model is supersingular at 5
     report = build_report(spec, {"E": "supersingular"})  # agreeing override is fine
-    assert report.e.provenance == "computed-from-model"
+    assert report.E.provenance == "computed-from-model"
 
 
 def test_build_report_rejects_unknown_names_and_values():
@@ -122,7 +122,7 @@ def test_decide_kummer_style_non_ordinary():
     inv = surface_invariants(spec)
     assert inv.k3_candidate and inv.h2 == 1
     report = build_report(spec)
-    assert report.dp.genus == 1 and report.dp.p_rank == 0
+    assert report.Dp.genus == 1 and report.Dp.p_rank == 0
     verdict = decide(spec, report)
     assert not verdict.ordinary
     assert verdict.clause == CLAUSE_ORDER_2
@@ -281,10 +281,10 @@ def test_build_report_rejects_impossible_congruence():
         with pytest.raises(ValueError, match="p = 1 mod 3"):
             build_report(make_spec(rotation, p=5, **counts), {"E": "ordinary"})
     # one-sided: a supersingular E is never rejected, whatever p is
-    assert build_report(spec, {"E": "nonordinary"}).e.ordinary is False
+    assert build_report(spec, {"E": "nonordinary"}).E.ordinary is False
     assert build_report(make_spec(Rotation.C4, p=13, a4p=2, a2=1), {"E": "nonordinary"})
     # the divisor keeps its own integrality guard for a report built by hand
-    forged = CurveOrdinarityReport(e=CurveReportEntry(1, 1, None, "supplied"))
+    forged = CurveOrdinarityReport(E=CurveReportEntry(1, 1, None, "supplied"))
     with pytest.raises(ValueError, match="non-integral"):
         hasse_divisor(spec, forged)
 
