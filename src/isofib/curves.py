@@ -38,14 +38,13 @@ Exceeding a bound raises ``OracleBoundError`` rather than silently truncating.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
 from operator import index
 
 from .ffpoly import (
     FpMatrix,
     FpPolynomial,
+    Frozen,
     PrimeField,
     half_power_windows,
     integer_resultant,
@@ -67,13 +66,10 @@ class OracleBoundError(Exception):
     """An oracle or a closed form was asked to run outside its safe input bounds."""
 
 
-@dataclass(frozen=True)
-class EllipticCurveW:
+class EllipticCurveW(Frozen):
     """Short Weierstrass curve y^2 = x^3 + a*x + b over GF(p), p > 3."""
 
-    field: PrimeField
-    a: int
-    b: int
+    _fields = ("field", "a", "b")
 
     def __init__(self, field: PrimeField, a: int, b: int):
         object.__setattr__(self, "field", field)
@@ -91,15 +87,14 @@ class EllipticCurveW:
         return FpPolynomial(self.field, [self.b, self.a, 0, 1])
 
 
-@dataclass(frozen=True)
-class EllipticCurveQ:
+class EllipticCurveQ(Frozen):
     """Integral model y^2 = x^3 + a*x + b, reduced prime by prime in scans."""
 
-    a: int
-    b: int
-    discriminant: int = dataclasses.field(init=False, compare=False, repr=False)  # 4a^3 + 27b^2
+    _fields = ("a", "b")  # the derived discriminant 4a^3 + 27b^2 is left out
 
-    def __post_init__(self):
+    def __init__(self, a: int, b: int):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
         object.__setattr__(self, "discriminant", 4 * index(self.a) ** 3 + 27 * index(self.b) ** 2)
         if self.discriminant == 0:
             raise ValueError("singular integral model: 4a^3 + 27b^2 = 0")
@@ -108,13 +103,13 @@ class EllipticCurveQ:
         return p > 3 and self.discriminant % p != 0
 
 
-@dataclass(frozen=True)
-class HyperellipticModel:
+class HyperellipticModel(Frozen):
     """Smooth double cover y^2 = f(x) with f squarefree of degree >= 3."""
 
-    f: FpPolynomial
+    _fields = ("f",)
 
-    def __post_init__(self):
+    def __init__(self, f: FpPolynomial):
+        object.__setattr__(self, "f", f)
         if self.f.degree() < 3:
             raise ValueError(f"deg f = {self.f.degree()} < 3")
         if not self.f.is_squarefree():

@@ -30,8 +30,7 @@ is squarefree without a test per prime.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from operator import index
+from operator import attrgetter, index
 
 _MACHINE_WORD_LIMIT = 2**63
 
@@ -63,10 +62,40 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-class PrimeField:
+class Frozen:
+    """Base of the immutable value types: a subclass names the fields it is
+    compared by in ``_fields`` and sets each attribute once in ``__init__``
+    through ``object.__setattr__``.  Values of different classes are unequal."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._key = attrgetter(*cls._fields)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class PrimeField(Frozen):
     """The prime field GF(p) for a prime p > 3 fitting in a machine word."""
 
-    __slots__ = ("p",)
+    _fields = ("p",)
 
     def __init__(self, p: int):
         if not isinstance(p, int):
@@ -78,21 +107,6 @@ class PrimeField:
         if p <= 3:
             raise ValueError(f"modulus {p} not allowed: characteristic must exceed 3")
         object.__setattr__(self, "p", p)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"PrimeField is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"PrimeField is immutable: cannot delete {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, PrimeField) and self.p == other.p
-
-    def __hash__(self) -> int:
-        return hash(("PrimeField", self.p))
-
-    def __repr__(self) -> str:
-        return f"PrimeField({self.p})"
 
     def is_square(self, x: int) -> bool:
         """Euler criterion; 0 counts as a square."""
@@ -144,12 +158,10 @@ def _mul_coeffs(p: int, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ..
     return tuple(int.from_bytes(raw[i : i + width], "little") % p for i in range(0, size, width))
 
 
-@dataclass(frozen=True)
-class FpPolynomial:
+class FpPolynomial(Frozen):
     """Dense univariate polynomial over GF(p), lowest-degree coefficient first."""
 
-    field: PrimeField
-    coeffs: tuple[int, ...]
+    _fields = ("field", "coeffs")
 
     def __init__(self, field: PrimeField, coeffs=()):
         object.__setattr__(self, "field", field)
@@ -512,14 +524,10 @@ def integer_resultant(f, g) -> int:
 # matrices
 
 
-@dataclass(frozen=True)
-class FpMatrix:
+class FpMatrix(Frozen):
     """Dense matrix over GF(p), row-major, immutable after construction."""
 
-    field: PrimeField
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
+    _fields = ("field", "rows", "cols", "entries")
 
     def __init__(self, field: PrimeField, entries):
         rows = [tuple(index(c) % field.p for c in row) for row in entries]

@@ -20,15 +20,13 @@ degrees determine chi(O_X), the Euler number and the cohomology dimensions.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import functools
-from dataclasses import dataclass
 from math import gcd
 from operator import index
 
 from .curves import EllipticCurveW, HyperellipticModel, j_invariant_and_aut
-from .ffpoly import FpPolynomial, PrimeField
+from .ffpoly import FpPolynomial, Frozen, PrimeField
 
 
 class ValidationError(Exception):
@@ -39,7 +37,21 @@ class ValidationError(Exception):
         super().__init__("; ".join(self.violations))
 
 
-class Rotation(enum.Enum):
+class FrozenEnum(enum.Enum):
+    """An enum whose members refuse attribute changes once registered."""
+
+    def __setattr__(self, name: str, value) -> None:
+        if type(self)._member_map_.get(getattr(self, "_name_", None)) is self:
+            raise AttributeError(f"{self!r} is immutable: cannot set {name!r}")
+        super().__setattr__(name, value)
+
+    def __delattr__(self, name: str) -> None:
+        if type(self)._member_map_.get(getattr(self, "_name_", None)) is self:
+            raise AttributeError(f"{self!r} is immutable: cannot delete {name!r}")
+        super().__delattr__(name)
+
+
+class Rotation(FrozenEnum):
     """The cyclic rotation group R, one of the five subgroups of Aut E."""
 
     TRIVIAL = 1
@@ -53,14 +65,14 @@ class Rotation(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class TranslationClass:
+class TranslationClass(Frozen):
     """T = Z/n1 + Z/n2 with n2 | n1; (1, 1) is the trivial group."""
 
-    n1: int
-    n2: int
+    _fields = ("n1", "n2")
 
-    def __post_init__(self):
+    def __init__(self, n1: int, n2: int):
+        object.__setattr__(self, "n1", n1)
+        object.__setattr__(self, "n2", n2)
         if index(self.n2) < 1 or index(self.n1) < 1:
             raise ValueError("translation orders must be positive")
         if self.n1 % self.n2 != 0:
@@ -74,19 +86,20 @@ class TranslationClass:
 RAM_KEYS = ("a2", "a3p", "a3m", "a4p", "a4m", "a6p", "a6m")
 
 
-@dataclass(frozen=True)
-class RamificationData:
+class RamificationData(Frozen):
     """Branch-point counts of D'/C by ramification index and character sign."""
 
-    a2: int = 0
-    a3p: int = 0
-    a3m: int = 0
-    a4p: int = 0
-    a4m: int = 0
-    a6p: int = 0
-    a6m: int = 0
+    _fields = RAM_KEYS
 
-    def __post_init__(self):
+    def __init__(self, a2: int = 0, a3p: int = 0, a3m: int = 0, a4p: int = 0, a4m: int = 0,
+                 a6p: int = 0, a6m: int = 0):
+        object.__setattr__(self, "a2", a2)
+        object.__setattr__(self, "a3p", a3p)
+        object.__setattr__(self, "a3m", a3m)
+        object.__setattr__(self, "a4p", a4p)
+        object.__setattr__(self, "a4m", a4m)
+        object.__setattr__(self, "a6p", a6p)
+        object.__setattr__(self, "a6m", a6m)
         for name in RAM_KEYS:
             if index(getattr(self, name)) < 0:
                 raise ValueError(f"{name} must be nonnegative")
@@ -108,8 +121,7 @@ class RamificationData:
 FORCED_J = {Rotation.C3: 0, Rotation.C4: 1728, Rotation.C6: 0}
 
 
-@dataclass(frozen=True)
-class FibrationSpec:
+class FibrationSpec(Frozen):
     """Quotient data of an isotrivial elliptic fibration over GF(p).
 
     Construction runs ``validate_spec`` and raises ``ValidationError`` with
@@ -118,16 +130,18 @@ class FibrationSpec:
     consumer reads them from there.
     """
 
-    rotation: Rotation
-    translation: TranslationClass
-    genus_base: int
-    ram: RamificationData
-    field: PrimeField
-    e_model: EllipticCurveW | None = None
-    branch_poly: FpPolynomial | None = None
-    invariants: SurfaceInvariants = dataclasses.field(init=False, compare=False, repr=False)
+    _fields = ("rotation", "translation", "genus_base", "ram", "field", "e_model", "branch_poly")
 
-    def __post_init__(self):
+    def __init__(self, rotation: Rotation, translation: TranslationClass, genus_base: int,
+                 ram: RamificationData, field: PrimeField, e_model: EllipticCurveW | None = None,
+                 branch_poly: FpPolynomial | None = None):
+        object.__setattr__(self, "rotation", rotation)
+        object.__setattr__(self, "translation", translation)
+        object.__setattr__(self, "genus_base", genus_base)
+        object.__setattr__(self, "ram", ram)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "e_model", e_model)
+        object.__setattr__(self, "branch_poly", branch_poly)
         if index(self.genus_base) < 0:
             raise ValueError("base genus must be nonnegative")
         violations = validate_spec(self)
@@ -149,7 +163,7 @@ class FibrationSpec:
         return HyperellipticModel(self.branch_poly)
 
 
-class KodairaType(enum.Enum):
+class KodairaType(FrozenEnum):
     I0STAR = "I0*"
     II = "II"
     IISTAR = "II*"
@@ -159,15 +173,18 @@ class KodairaType(enum.Enum):
     IVSTAR = "IV*"
 
 
-@dataclass(frozen=True)
-class FiberClass:
+class FiberClass(Frozen):
     """A singular-fiber type: Euler number, quotient singularities, resolution data."""
 
-    kodaira_type: KodairaType
-    euler: int
-    singularities: tuple[str, ...]
-    pre_blowdown_matrix: tuple[tuple[int, ...], ...] | None
-    blowdowns: int
+    _fields = ("kodaira_type", "euler", "singularities", "pre_blowdown_matrix", "blowdowns")
+
+    def __init__(self, kodaira_type: KodairaType, euler: int, singularities: tuple[str, ...],
+                 pre_blowdown_matrix: tuple[tuple[int, ...], ...] | None, blowdowns: int):
+        object.__setattr__(self, "kodaira_type", kodaira_type)
+        object.__setattr__(self, "euler", euler)
+        object.__setattr__(self, "singularities", singularities)
+        object.__setattr__(self, "pre_blowdown_matrix", pre_blowdown_matrix)
+        object.__setattr__(self, "blowdowns", blowdowns)
 
 
 # the fiber over a branch point of each kind: a key's digit is the ramification
@@ -393,21 +410,29 @@ def line_bundle_degrees(spec: FibrationSpec) -> tuple[int, ...]:
     return tuple(-(num // den) for num, den, _ in _degree_fractions(spec.rotation, spec.ram))
 
 
-@dataclass(frozen=True)
-class SurfaceInvariants:
+class SurfaceInvariants(Frozen):
     """Numerical invariants of the minimal model X, with the cover tower and
-    the counted singular fibers they are derived from."""
+    the counted singular fibers they are derived from: ``deg_l``, ``tower`` and
+    ``fibers`` as ``line_bundle_degrees``, ``genus_cover_tower`` and
+    ``singular_fibers`` return them, and d = -deg R^1 pi_* O_X."""
 
-    deg_l: tuple[int, ...]  # as line_bundle_degrees: C6 lists chi, chi^4, chi^3, chi^2, chi^5
-    chi: int
-    euler_total: int
-    h1: int
-    h2: int
-    d: int  # -deg R^1 pi_* O_X
-    rational: bool
-    k3_candidate: bool
-    tower: tuple[int, int | None, int | None]  # as genus_cover_tower returns it
-    fibers: tuple[tuple[FiberClass, int], ...]  # as singular_fibers returns them
+    _fields = ("deg_l", "chi", "euler_total", "h1", "h2", "d", "rational", "k3_candidate",
+               "tower", "fibers")
+
+    def __init__(self, deg_l: tuple[int, ...], chi: int, euler_total: int, h1: int, h2: int,
+                 d: int, rational: bool, k3_candidate: bool,
+                 tower: tuple[int, int | None, int | None],
+                 fibers: tuple[tuple[FiberClass, int], ...]):
+        object.__setattr__(self, "deg_l", deg_l)
+        object.__setattr__(self, "chi", chi)
+        object.__setattr__(self, "euler_total", euler_total)
+        object.__setattr__(self, "h1", h1)
+        object.__setattr__(self, "h2", h2)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "rational", rational)
+        object.__setattr__(self, "k3_candidate", k3_candidate)
+        object.__setattr__(self, "tower", tower)
+        object.__setattr__(self, "fibers", fibers)
 
 
 def surface_invariants(spec: FibrationSpec) -> SurfaceInvariants:

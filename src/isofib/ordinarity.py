@@ -26,7 +26,6 @@ form, and the matrix of Frobenius on H^1(O(-d)) extracted from it coincides
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import index
 
 from .curves import (
@@ -35,7 +34,7 @@ from .curves import (
     hasse_invariant,
     p_rank_hyperelliptic,
 )
-from .ffpoly import FpMatrix, FpPolynomial
+from .ffpoly import FpMatrix, FpPolynomial, Frozen
 from .fibration import FORCED_J, FiberClass, FibrationSpec, Rotation
 
 SCOPE_SINGLE = "single_X"
@@ -67,16 +66,16 @@ class NotGenericallyOrdinaryError(Exception):
     """Raised when a Hasse divisor is requested for a supersingular common fiber."""
 
 
-@dataclass(frozen=True)
-class CurveReportEntry:
+class CurveReportEntry(Frozen):
     """Genus plus what is known about the p-rank of one curve in the tower."""
 
-    genus: int
-    p_rank: int | None
-    ordinary: bool | None
-    provenance: str
+    _fields = ("genus", "p_rank", "ordinary", "provenance")
 
-    def __post_init__(self):
+    def __init__(self, genus: int, p_rank: int | None, ordinary: bool | None, provenance: str):
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "p_rank", p_rank)
+        object.__setattr__(self, "ordinary", ordinary)
+        object.__setattr__(self, "provenance", provenance)
         index(self.genus)  # integers only: anything else raises TypeError
         if self.p_rank is not None:
             if not 0 <= index(self.p_rank) <= self.genus:
@@ -91,33 +90,41 @@ class CurveReportEntry:
                 )
 
 
-@dataclass(frozen=True)
-class CurveOrdinarityReport:
+class CurveOrdinarityReport(Frozen):
     """Ordinarity data for E, C and the cover tower D', D'', D''', one field per
     name in CURVE_NAMES."""
 
-    E: CurveReportEntry | None = None
-    C: CurveReportEntry | None = None
-    Dp: CurveReportEntry | None = None
-    Dpp: CurveReportEntry | None = None
-    Dppp: CurveReportEntry | None = None
+    _fields = CURVE_NAMES
+
+    def __init__(self, E: CurveReportEntry | None = None, C: CurveReportEntry | None = None,
+                 Dp: CurveReportEntry | None = None, Dpp: CurveReportEntry | None = None,
+                 Dppp: CurveReportEntry | None = None):
+        object.__setattr__(self, "E", E)
+        object.__setattr__(self, "C", C)
+        object.__setattr__(self, "Dp", Dp)
+        object.__setattr__(self, "Dpp", Dpp)
+        object.__setattr__(self, "Dppp", Dppp)
 
 
-@dataclass(frozen=True)
-class OrdinarityVerdict:
-    scope: str
-    ordinary: bool
-    clause: str
-    reasons: tuple[str, ...]
+class OrdinarityVerdict(Frozen):
+    _fields = ("scope", "ordinary", "clause", "reasons")
+
+    def __init__(self, scope: str, ordinary: bool, clause: str, reasons: tuple[str, ...]):
+        object.__setattr__(self, "scope", scope)
+        object.__setattr__(self, "ordinary", ordinary)
+        object.__setattr__(self, "clause", clause)
+        object.__setattr__(self, "reasons", reasons)
 
 
-@dataclass(frozen=True)
-class HasseDivisor:
+class HasseDivisor(Frozen):
     """Frobenius-cokernel multiplicities as (FiberClass, multiplicity, count)
     for each singular-fiber class that occurs, in RAM_KEYS order."""
 
-    entries: tuple[tuple[FiberClass, int, int], ...]
-    total_degree: int
+    _fields = ("entries", "total_degree")
+
+    def __init__(self, entries: tuple[tuple[FiberClass, int, int], ...], total_degree: int):
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "total_degree", total_degree)
 
 
 def _parse_override(value) -> tuple[int | None, bool | None]:

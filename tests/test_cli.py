@@ -814,11 +814,10 @@ def test_the_module_entry_point_reads_its_arguments_from_the_process(tmp_path, c
     assert proc.stdout.startswith(b"usage: isofib ")
 
 
-def test_importing_the_command_line_loads_no_fraction_or_decimal_modules():
+def test_importing_the_command_line_loads_no_unneeded_standard_modules():
     src = str(Path(cli.__file__).resolve().parents[1])
-    code = ("import sys, isofib.cli; "
-            "print(' '.join(m for m in ('fractions', 'decimal', '_decimal', 'numbers') "
-            "if m in sys.modules))")
+    unneeded = ("fractions", "decimal", "_decimal", "numbers", "dataclasses", "inspect")
+    code = f"import sys, isofib.cli; print(' '.join(m for m in {unneeded} if m in sys.modules))"
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "\n", "")

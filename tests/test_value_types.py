@@ -1,8 +1,9 @@
 """Every value type in the public API is immutable, compares by value and
-takes exact integers only."""
+takes exact integers only; enum members are immutable singletons."""
 
-import dataclasses
+import copy
 import enum
+import pickle
 
 import pytest
 
@@ -76,7 +77,7 @@ def test_value_types_are_immutable_exact_and_compare_by_value(cls):
     build, inputs, changed, non_integer = CASES[cls]
     value = build(*inputs)
     assert type(value) is cls
-    first = dataclasses.fields(value)[0].name if dataclasses.is_dataclass(value) else "p"
+    first = cls._fields[0]
     for name in (first, "extra"):
         with pytest.raises(AttributeError):
             setattr(value, name, 11)
@@ -86,6 +87,38 @@ def test_value_types_are_immutable_exact_and_compare_by_value(cls):
     assert same == value and hash(same) == hash(value)
     assert {value: "found"}[same] == "found"
     assert build(*changed) != value
+    # a value never equals the tuple of its fields, e.g. FpPolynomial(F5, [2, 1]) != (F5, (2, 1))
+    assert (value == tuple(getattr(value, name) for name in cls._fields)) is False
     if non_integer is not None:
         with pytest.raises(TypeError):
             build(*non_integer)
+
+
+@pytest.mark.parametrize("cls", list(CASES), ids=lambda cls: cls.__name__)
+def test_value_types_survive_copy_and_pickle(cls):
+    build, inputs, _, _ = CASES[cls]
+    value = build(*inputs)
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is cls and twin == value and hash(twin) == hash(value)
+
+
+def test_value_type_reprs_name_the_compared_fields_only():
+    assert repr(TranslationClass(2, 1)) == "TranslationClass(n1=2, n2=1)"
+    assert repr(EllipticCurveQ(1, 1)) == "EllipticCurveQ(a=1, b=1)"
+    assert repr(_trivial_spec(1)) == (
+        "FibrationSpec(rotation=<Rotation.TRIVIAL: 1>, translation=TranslationClass(n1=1, n2=1), "
+        "genus_base=1, ram=RamificationData(a2=0, a3p=0, a3m=0, a4p=0, a4m=0, a6p=0, a6m=0), "
+        "field=PrimeField(p=5), e_model=None, branch_poly=None)"
+    )
+
+
+@pytest.mark.parametrize("member", [*Rotation, *KodairaType], ids=repr)
+def test_enum_members_are_immutable_singletons(member):
+    for name in ("value", "_value_", "note"):
+        with pytest.raises(AttributeError):
+            setattr(member, name, 99)
+        with pytest.raises(AttributeError):
+            delattr(member, name)
+    enum_type = type(member)
+    assert enum_type(member.value) is member and enum_type[member.name] is member
+    assert copy.deepcopy(member) is member and pickle.loads(pickle.dumps(member)) is member
