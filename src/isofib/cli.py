@@ -19,10 +19,10 @@ Exit codes: 0 success, 1 validation failure, 2 unreadable or unparsable input,
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
+from types import SimpleNamespace
 
 from .curves import (
     BRANCH_MAX_DEGREE,
@@ -639,76 +639,89 @@ def cmd_scan(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _invariants_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("spec_file")
-    parser.add_argument("--format", choices=["text", "json"], default="text")
-    parser.set_defaults(func=cmd_invariants)
-
-
-def _decide_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("spec_file")
-    parser.add_argument(
-        "--set",
-        action="append",
-        metavar="NAME=VALUE",
-        help="supply ordinarity data: E/C/Dp/Dpp/Dppp = ordinary|nonordinary|<p-rank>",
-    )
-    parser.add_argument("--format", choices=["text", "json"], default="text")
-    parser.set_defaults(func=cmd_decide)
-
-
-def _verify_examples_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.set_defaults(func=cmd_verify_examples)
-
-
-def _scan_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("scan_file")
-    parser.add_argument("--pmax", type=int, required=True)
-    parser.add_argument("--format", choices=["tsv", "json"], default="tsv")
-    parser.set_defaults(func=cmd_scan)
-
-
-# command -> (help line, function adding its arguments and handler to a parser).
-# Each adder names its handler at call time, so a handler replaced on the
-# module (a test spy, a tracing wrapper) is the one that runs.
+# command -> (help line, handler name, positional dest or None, {flag: add_argument keywords}).
+# The handler is looked up on the module when a call is parsed, so a handler
+# replaced there (a test spy, a tracing wrapper) is the one that runs.
 _COMMANDS = {
-    "invariants": ("numerical invariants and fiber types", _invariants_arguments),
-    "decide": ("ordinarity verdict and Hasse divisor", _decide_arguments),
-    "verify-examples": ("run the built-in golden example suite", _verify_examples_arguments),
-    "scan": ("ordinary-reduction scan over primes", _scan_arguments),
+    "invariants": ("numerical invariants and fiber types", "cmd_invariants", "spec_file", {
+        "--format": {"choices": ["text", "json"], "default": "text"},
+    }),
+    "decide": ("ordinarity verdict and Hasse divisor", "cmd_decide", "spec_file", {
+        "--set": {"action": "append", "metavar": "NAME=VALUE", "help": (
+            "supply ordinarity data: E/C/Dp/Dpp/Dppp = ordinary|nonordinary|<p-rank>")},
+        "--format": {"choices": ["text", "json"], "default": "text"},
+    }),
+    "verify-examples": ("run the built-in golden example suite", "cmd_verify_examples", None, {}),
+    "scan": ("ordinary-reduction scan over primes", "cmd_scan", "scan_file", {
+        "--pmax": {"type": int, "required": True},
+        "--format": {"choices": ["tsv", "json"], "default": "tsv"},
+    }),
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The whole command tree: the top-level parser and one subparser per command."""
+def build_parser():
+    """The argparse tree of _COMMANDS: the top-level parser and one subparser per command."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="isofib",
         description="Invariants and ordinarity of isotrivial elliptic surfaces over GF(p)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, add_arguments) in _COMMANDS.items():
-        add_arguments(sub.add_parser(name, help=help_line))
+    for name, (help_line, handler, positional, flags) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_line)
+        if positional is not None:
+            command.add_argument(positional)
+        for flag, keywords in flags.items():
+            command.add_argument(flag, **keywords)
+        command.set_defaults(func=globals()[handler])
     return parser
 
 
-def _parse_command_line(argv: list[str]) -> argparse.Namespace:
-    """The parsed arguments of argv, building only the parser of its command.
+def _plain_arguments(argv: list[str]):
+    """The arguments of a plain call of a command in _COMMANDS, or None.
 
-    A subparser of the whole tree is ``ArgumentParser(prog="isofib <name>")``
-    handed every argument after the name, so when argv starts with an exact
-    command name that parser alone gives the same namespace, help, usage and
-    errors.  Anything else (no command, a top-level option, an unknown or
-    abbreviated name, arguments the command leaves over) goes through the
-    whole tree, which reports it as before.
+    A plain call is an exact command name, then in any order the command's
+    positional (a token not starting with "-") and exact long flags, each
+    followed by a value not starting with "-" that its type converts and its
+    choices allow; the positional and every required flag are present.  On
+    such a line the argparse tree gives the same attributes (and ``command``).
     """
-    command = _COMMANDS.get(argv[0]) if argv else None
-    if command is not None:
-        parser = argparse.ArgumentParser(prog=f"isofib {argv[0]}")
-        command[1](parser)
-        args, extras = parser.parse_known_args(argv[1:])
-        if not extras:
-            return args
-    return build_parser().parse_args(argv)
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, handler, positional, flags = _COMMANDS[argv[0]]
+    args = {flag[2:]: keywords.get("default") for flag, keywords in flags.items()}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        keywords = flags.get(token)
+        if keywords is None:
+            if token.startswith("-") or positional is None or positional in args:
+                return None
+            args[positional] = token
+            continue
+        value = next(tokens, None)
+        if value is None or value.startswith("-"):
+            return None
+        try:
+            value = keywords.get("type", str)(value)
+        except ValueError:
+            return None
+        if value not in keywords.get("choices", [value]):
+            return None
+        if keywords.get("action") == "append":
+            value = (args[token[2:]] or []) + [value]
+        args[token[2:]] = value
+    # neither a value nor the positional starts with "-", so a flag in argv was given as one
+    if (positional is not None and positional not in args) or any(
+        keywords.get("required") and flag not in argv for flag, keywords in flags.items()
+    ):
+        return None
+    return SimpleNamespace(**args, func=globals()[handler])
+
+
+def _parse_command_line(argv: list[str]):
+    """The arguments of argv: a plain call from the table, any other line from the tree."""
+    return _plain_arguments(argv) or build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:

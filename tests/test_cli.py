@@ -748,6 +748,12 @@ def _command_line_corpus(tmp_path):
         ["verify-examples", "x"], ["scan", scan, "--pmax", "30", "--", "more"],
         ["invariants", str(tmp_path / "missing.json")], ["decide"],
         ["invariants", spec], ["decide", spec, "--format", "json"], ["verify-examples"],
+        ["invariants", "-"], ["invariants", ""], ["invariants", spec, spec],
+        ["decide", spec, "--set", "-x"],
+        ["decide", spec, "--set", "E=ordinary", "--set", "E=ordinary"],
+        ["decide", spec, "--format", "json", "--format", "text"],
+        ["scan", scan, "--pmax", " 30 "], ["scan", scan, "--pmax", "3_0"],
+        ["scan", scan, "--pmax", "9" * 5000], ["verify-examples", "--format", "json"],
     ]
 
 
@@ -760,9 +766,15 @@ def test_each_command_line_behaves_as_through_the_whole_parser_tree(tmp_path, mo
     for argv, got, want in zip(corpus, own, whole):
         assert got == want, argv
     assert {code for code, _, _ in own} == {EXIT_OK, EXIT_VALIDATION, EXIT_PARSE}
+    plain = [argv for argv in corpus if cli._plain_arguments(argv) is not None]
+    for argv in plain:
+        tree = vars(cli.build_parser().parse_args(argv))
+        assert tree.pop("command") == argv[0]
+        assert vars(cli._plain_arguments(argv)) == tree, argv
+    assert {argv[0] for argv in plain} == set(cli._COMMANDS)
 
 
-def test_a_command_builds_only_its_own_parser(tmp_path, monkeypatch):
+def test_a_plain_call_builds_no_parser(tmp_path, monkeypatch):
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -773,17 +785,24 @@ def test_a_command_builds_only_its_own_parser(tmp_path, monkeypatch):
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     spec = write_spec(tmp_path, EXAMPLE_RATIONAL)
     scan = write_spec(tmp_path, {"E": {"a": 2, "b": 3}}, name="scan.json")
-    for argv in (["invariants", spec], ["decide", spec], ["verify-examples"],
-                 ["scan", scan, "--pmax", "30"]):
-        built.clear()
+    for argv in (["invariants", spec, "--format", "json"], ["decide", spec, "--set", "Dp=0"],
+                 ["verify-examples"], ["scan", "--format", "json", scan, "--pmax", "30"]):
         assert main(argv) == EXIT_OK, argv
-        assert built == [f"isofib {argv[0]}"], argv
-    built.clear()
+    assert built == []
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
     assert built == ["isofib"] + [f"isofib {name}" for name in
                                   ("invariants", "decide", "verify-examples", "scan")]
+
+
+def test_a_plain_call_in_a_fresh_interpreter_loads_no_argparse_or_gettext():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys, isofib.cli; code = isofib.cli.main(['verify-examples']); print(code, "
+            "[m for m in ('argparse', 'gettext') if m in sys.modules], file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "0 []\n")
 
 
 def test_a_command_runs_the_handler_bound_on_the_module_at_call_time(tmp_path, monkeypatch):
