@@ -25,10 +25,10 @@ import sys
 from types import SimpleNamespace
 
 from .curves import (
-    BRANCH_MAX_DEGREE,
     EllipticCurveQ,
     EllipticCurveW,
     OracleBoundError,
+    check_branch_degree,
     hyperelliptic_p_ranks,
     ordinary_primes,
 )
@@ -129,12 +129,6 @@ def _want_branch(branch, errors) -> list[int] | None:
     return branch
 
 
-def _refuse_long_branch(degree: int) -> None:
-    """Refuse (OracleBoundError) a branch of degree beyond BRANCH_MAX_DEGREE."""
-    if degree > BRANCH_MAX_DEGREE:
-        raise OracleBoundError(f"branch refused: degree {degree} exceeds bound {BRANCH_MAX_DEGREE}")
-
-
 def parse_spec_document(doc) -> FibrationSpec:
     """Turn a parsed JSON document into a FibrationSpec, or raise with every
     field error found."""
@@ -211,7 +205,7 @@ def parse_spec_document(doc) -> FibrationSpec:
     if errors:
         raise SpecDocumentError(errors)
     if branch_poly is not None:
-        _refuse_long_branch(branch_poly.degree())
+        check_branch_degree(branch_poly.degree())
     return FibrationSpec(
         rotation=rotation,
         translation=translation,
@@ -530,7 +524,7 @@ def load_scan_document(path: str) -> tuple[EllipticCurveQ, list[int] | None]:
     if errors:
         raise SpecDocumentError(errors)
     if branch is not None:
-        _refuse_long_branch(len(branch) - 1)
+        check_branch_degree(len(branch) - 1)
     return curve, branch
 
 

@@ -19,9 +19,10 @@ either end of f^((p-1)/2) from one run of h = f/x^v and one of rev(h), so a
 curve of genus at most 4 costs two runs.  The rows deeper than that (genus 5
 and up), and the low rows at the finitely many primes dividing h(0), come
 from ``poly_pow_coeff`` at that prime alone; squarefreeness mod p comes from
-Res(f, f') once.  Both p-rank routes, ``p_rank_hyperelliptic`` on a model and
+Res(f, f') alone.  Both p-rank routes, ``p_rank_hyperelliptic`` on a model and
 ``hyperelliptic_p_ranks`` on a scan, take rank(M^g) from one helper on integer
-rows: det M first, and M^g only where det M = 0.  A run takes O(p_max)
+rows: det M first, and only where det M = 0 the rank of M squared
+ceil(log2 g) times, which equals rank(M^g).  A run takes O(p_max)
 steps on numbers of about 1.44 p_max bits (twice that for a row beyond p).
 On a shared 2-vCPU x86-64 host (uncalibrated, one run each), a scan to
 p_max = 10^4 takes about 0.1 s for E alone, 0.4 s with a sextic branch and
@@ -29,9 +30,10 @@ p_max = 10^4 takes about 0.1 s for E alone, 0.4 s with a sextic branch and
 modulo the product, takes 1.4 s.
 
 The oracles enumerate and therefore carry hard input bounds.  The closed
-forms refuse an f of degree beyond ``BRANCH_MAX_DEGREE`` and coefficients
+forms and the command line refuse an f of degree beyond ``BRANCH_MAX_DEGREE``
+by the one ``check_branch_degree``; the closed forms also refuse coefficients
 whose recurrence takes more than ``RECURRENCE_MAX_WORK`` steps times p-adic
-digits; ``check_closed_form_bound`` bounds the degree of a full power
+digits, and ``check_closed_form_bound`` bounds the degree of a full power
 f^((p-1)/2) by ``CLOSED_FORM_MAX_DEGREE`` for the one caller that builds it.
 Exceeding a bound raises ``OracleBoundError`` rather than silently truncating.
 """
@@ -48,7 +50,7 @@ from .ffpoly import (
     PrimeField,
     half_power_windows,
     integer_resultant,
-    matrix_power_mod,
+    matrix_mul_mod,
     poly_pow_coeff,
     rank_det_mod,
     recurrence_work_mod,
@@ -139,17 +141,16 @@ def j_invariant_and_aut(curve: EllipticCurveW) -> tuple[int, int]:
     return j, 2
 
 
-def _check_branch_degree(degree: int) -> None:
+def check_branch_degree(degree: int) -> None:
+    """Refuse (OracleBoundError) a branch of degree beyond BRANCH_MAX_DEGREE."""
     if degree > BRANCH_MAX_DEGREE:
-        raise OracleBoundError(
-            f"closed form refused: f has degree {degree}, exceeding bound {BRANCH_MAX_DEGREE}"
-        )
+        raise OracleBoundError(f"branch refused: degree {degree} exceeds bound {BRANCH_MAX_DEGREE}")
 
 
 def check_closed_form_bound(f: FpPolynomial) -> None:
     """Refuse (OracleBoundError) an f beyond BRANCH_MAX_DEGREE or a whole power
     f^((p-1)/2) beyond CLOSED_FORM_MAX_DEGREE."""
-    _check_branch_degree(f.degree())
+    check_branch_degree(f.degree())
     degree = f.degree() * (f.field.p - 1) // 2
     if degree > CLOSED_FORM_MAX_DEGREE:
         raise OracleBoundError(
@@ -162,7 +163,7 @@ def check_recurrence_bound(f: FpPolynomial, e: int, ks) -> None:
     """Refuse (OracleBoundError) an f beyond BRANCH_MAX_DEGREE, or coefficients
     ks of f^e whose recurrence takes more than RECURRENCE_MAX_WORK steps
     times p-adic digits; for the Hasse invariant that is p > 2 * 10^6 + 1."""
-    _check_branch_degree(f.degree())
+    check_branch_degree(f.degree())
     _check_work(recurrence_work_mod(f.coeffs, f.field.p, e, ks))
 
 
@@ -205,22 +206,22 @@ def ordinary_primes(curve: EllipticCurveQ, primes) -> list[bool]:
 def hyperelliptic_p_ranks(f, primes) -> list[int | None]:
     """The p-rank of y^2 = f(x) at each of the increasing primes p > 3, or
     None where f mod p is not squarefree.  No model is built, and a field
-    only at a prime that reads a row alone (see ``_cartier_rows``) or whose
-    entries exceed the recurrence bound.
+    only at a prime that reads a row alone (see ``_cartier_rows``).
 
     f is an integer polynomial, lowest degree first, of degree 1 to
     BRANCH_MAX_DEGREE, and no prime may divide its leading coefficient.
-    Squarefreeness comes from Res(f, f') once: for p not dividing lc(f),
-    f mod p is squarefree iff p does not divide it (computed on f reduced
-    mod the product of the primes, which leaves it unchanged mod each).  Before that, every
-    prime is held to RECURRENCE_MAX_WORK for the Cartier-Manin entries
-    ``cartier_manin`` reads, in order, so a scan beyond the bound is refused
-    before any run.  The entries then come from ``_cartier_rows``, and each
-    rank from ``_cartier_p_rank``.
+    Squarefreeness comes from Res(f, f') alone: for p not dividing lc(f),
+    f mod p is squarefree iff p does not divide it.  First every prime where
+    f is squarefree is held to RECURRENCE_MAX_WORK for the Cartier-Manin
+    entries ``cartier_manin`` reads, in order, so a scan beyond the bound is
+    refused before any run (an over-bound prime asks Res(f, f') mod p alone,
+    as the resultant of a large f over all the primes can take minutes).  The
+    entries then come from ``_cartier_rows``, and each rank from
+    ``_cartier_p_rank``.
     """
     f = tuple(f)
     degree = len(f) - 1
-    _check_branch_degree(degree)
+    check_branch_degree(degree)
     primes = list(primes)
     for before, p in zip([3] + primes, primes):
         if p <= before or f[-1] % p == 0:
@@ -230,22 +231,13 @@ def hyperelliptic_p_ranks(f, primes) -> list[int | None]:
     g = (degree - 1) // 2
     for p in primes if g else ():  # genus 0 reads no entry
         e = (p - 1) // 2
-        if degree * e * (1 + degree * e // (p - 1)) <= RECURRENCE_MAX_WORK:
-            continue  # at most deg f^e steps, each of at most this many p-adic digits
-        ks = [p * i - j for i in range(1, g + 1) for j in range(1, g + 1)]
-        work = recurrence_work_mod(tuple(c % p for c in f), p, e, ks)
-        # only a prime where f is squarefree would have read the entries
-        if work > RECURRENCE_MAX_WORK and FpPolynomial(PrimeField(p), f).is_squarefree():
-            _check_work(work)
-    # f reduced mod the product of the primes keeps its entries near the
-    # product's size; its resultant agrees with Res(f, f') mod every prime up
-    # to a unit power of lc(f) (f' loses its top where they all divide deg f)
-    product = math.prod(primes)
-    reduced = [(c + product // 2) % product - product // 2 for c in f]
-    derivative = [i * c for i, c in enumerate(reduced)][1:]
-    while derivative and not derivative[-1]:
-        derivative.pop()
-    discriminant = integer_resultant(reduced, derivative) if primes and derivative else 0
+        # at most deg f^e steps, each of at most this many p-adic digits
+        if degree * e * (1 + degree * e // (p - 1)) > RECURRENCE_MAX_WORK:
+            ks = [p * i - j for i in range(1, g + 1) for j in range(1, g + 1)]
+            work = recurrence_work_mod(tuple(c % p for c in f), p, e, ks)
+            if work > RECURRENCE_MAX_WORK and _discriminant(f, [p]) % p:
+                _check_work(work)
+    discriminant = _discriminant(f, primes)
     good = [p for p in primes if discriminant % p]
     ranks = dict.fromkeys(good, 0)
     if g:
@@ -254,13 +246,27 @@ def hyperelliptic_p_ranks(f, primes) -> list[int | None]:
     return [ranks.get(p) for p in primes]
 
 
+def _discriminant(f: tuple[int, ...], primes) -> int:
+    """Res(f, f') mod each of the primes, up to a unit power of lc(f), from f
+    reduced mod their product, which keeps its entries near the product's
+    size (f' loses its top where all the primes divide deg f); 0 without primes."""
+    product = math.prod(primes)
+    reduced = [(c + product // 2) % product - product // 2 for c in f]
+    derivative = [i * c for i, c in enumerate(reduced)][1:]
+    return integer_resultant(reduced, derivative) if primes and derivative else 0
+
+
 def _cartier_p_rank(rows, p: int) -> int:
-    """rank(M^g) mod p for the g x g Cartier-Manin matrix M given as rows:
-    g exactly where det M is a unit, and M^g is built only where det M = 0."""
+    """rank(M^g) mod p for the g x g Cartier-Manin matrix M given as rows: g
+    exactly where det M is a unit, and otherwise the rank of M squared until
+    its power reaches g, as rank(M^k) no longer changes from k = g on
+    (Fitting's lemma)."""
     g = len(rows)
     if rank_det_mod(rows, g, p)[1]:
         return g
-    return rank_det_mod(matrix_power_mod(rows, g, p), g, p)[0]
+    for _ in range((g - 1).bit_length()):  # the least 2^s >= g
+        rows = matrix_mul_mod(rows, rows, p)
+    return rank_det_mod(rows, g, p)[0]
 
 
 def _cartier_rows(f: tuple[int, ...], primes) -> list[list[list[int]]]:

@@ -5,18 +5,18 @@ on them is Python's own (``% p``, ``pow(x, e, p)``, ``pow(x, -1, p)``); a
 ``PrimeField`` instance is a validated modulus with Euler's criterion.
 Polynomials are immutable coefficient tuples, lowest degree first, with the
 trailing coefficient nonzero (the zero polynomial is the empty tuple).
-Matrices are rows of integers: ``matrix_mul_mod``, ``matrix_power_mod`` and
-``rank_det_mod`` are the one implementation of matrix arithmetic mod p, and an
-``FpMatrix`` only carries a field and its reduced rows.  Everything is exact:
-no floating point, no external bignum library.  The value types are immutable
-and take integers only (anything without ``__index__`` raises TypeError).
+Matrices are rows of integers: ``matrix_mul_mod`` and ``rank_det_mod`` are
+the one implementation of matrix arithmetic mod p, and an ``FpMatrix`` only
+carries a field and its reduced rows.  Everything is exact: no floating
+point, no external bignum library.  The value types are immutable and take
+integers only (anything without ``__index__`` raises TypeError).
 
-Polynomials have one exact multiply (byte-aligned Kronecker substitution),
-one power built on it for callers that need the whole of f^e, one coefficient
-kernel and one squarefree test.  A few coefficients of f^e come from
-``poly_pow_coeff``, which runs the linear recurrence of f^e from its low end,
-its high end or both, and builds no power.  ``is_squarefree`` runs Euclid on
-the coefficient lists of f and f'.
+Polynomials have one exact multiply (byte-aligned Kronecker substitution) and
+one power built on it for callers that need the whole of f^e.  A few
+coefficients of f^e at one prime come from ``poly_pow_coeff``, which runs the
+linear recurrence of f^e from its low end, its high end or both, and builds
+no power.  ``is_squarefree`` runs Euclid on the coefficient lists of f and f'
+at one prime.
 
 Scans ask for the same coefficients of h^((p-1)/2) at every prime up to a
 bound.  ``half_power_windows`` answers them all from one run of an integer
@@ -559,56 +559,29 @@ def matrix_mul_mod(a, b, p: int) -> list[list[int]]:
     return [[sum(x * y for x, y in zip(row, column)) % p for column in columns] for row in a]
 
 
-def matrix_power_mod(rows, e: int, p: int):
-    """rows^e mod p for a square integer matrix and e >= 1, by binary powering:
-    the first factor costs no product, and squaring stops once no bits of e
-    remain."""
-    result, base = None, rows
-    while True:
-        if e & 1:
-            result = base if result is None else matrix_mul_mod(result, base, p)
-        e >>= 1
-        if not e:
-            return result
-        base = matrix_mul_mod(base, base, p)
-
-
 def rank_det_mod(rows, cols: int, p: int) -> tuple[int, int]:
     """Rank and determinant mod p of an integer matrix given as rows, by
-    Gaussian elimination; the determinant is 0 below full row rank."""
+    Gaussian elimination one column at a time; the determinant is 0 below
+    full row rank."""
     work = [[c % p for c in row] for row in rows]
     nrows = len(work)
-    rank = 0
-    det = 1
-    sign_swaps = 0
-    col = 0
-    for row in range(nrows):
-        # find a pivot at or below `row` in some column >= col
-        pivot_found = False
-        while col < cols and not pivot_found:
-            for r in range(row, nrows):
-                if work[r][col] != 0:
-                    if r != row:
-                        work[row], work[r] = work[r], work[row]
-                        sign_swaps += 1
-                    pivot_found = True
-                    break
-            if not pivot_found:
-                col += 1
-        if not pivot_found:
-            break
-        rank += 1
-        pivot = work[row][col]
-        det = (det * pivot) % p
-        inv = pow(pivot, -1, p)
-        for r in range(row + 1, nrows):
-            factor = (work[r][col] * inv) % p
+    rank, det = 0, 1
+    for col in range(cols):
+        for r in range(rank, nrows):
+            if work[r][col]:
+                break
+        else:
+            continue  # no pivot in this column
+        if r != rank:
+            work[rank], work[r] = work[r], work[rank]
+            det = -det
+        top = work[rank]
+        det = det * top[col] % p
+        inv = pow(top[col], -1, p)
+        for row in work[rank + 1 :]:
+            factor = row[col] * inv % p
             if factor:
                 for c in range(col, cols):
-                    work[r][c] = (work[r][c] - factor * work[row][c]) % p
-        col += 1
-    if rank < nrows:
-        return rank, 0
-    if sign_swaps % 2:
-        det = (-det) % p
-    return rank, det
+                    row[c] = (row[c] - factor * top[c]) % p
+        rank += 1
+    return rank, det if rank == nrows else 0

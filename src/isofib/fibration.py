@@ -325,10 +325,8 @@ def validate_spec(spec: FibrationSpec) -> list[str]:
             violations.append(f"{formula} = -{num}/{den} is not an integer")
 
     if not violations:
-        twice = _riemann_hurwitz(spec, 1)
-        if twice % 2 != 0:
-            violations.append(f"Riemann-Hurwitz gives 2g-2 = {twice} for D', which is odd")
-        elif twice < -2:
+        twice = _riemann_hurwitz(spec, 1)  # even once every degree is integral
+        if twice < -2:
             violations.append(
                 f"Riemann-Hurwitz gives genus {(twice + 2) // 2} < 0 for D': "
                 "no such cover exists"

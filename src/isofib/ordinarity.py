@@ -287,8 +287,7 @@ def decide(spec: FibrationSpec, report: CurveOrdinarityReport) -> OrdinarityVerd
 
     # pair clauses: X together with the conjugate surface X'
     d_conjugate = -inv.deg_l[0]
-    both_rational = spec.genus_base == 0 and inv.d == 1 and d_conjugate == 1
-    if both_rational:
+    if inv.rational and d_conjugate == 1:
         reasons.append(
             "both X and the conjugate surface X' are rational (base genus 0, "
             "d = d' = 1): all four cohomology spaces vanish"
@@ -336,7 +335,7 @@ def check_supersingular_corollary(
     if not verdict.ordinary:
         return None
     inv = spec.invariants
-    if spec.genus_base == 0 and inv.d == 1:
+    if inv.rational:
         return None
     return (
         f"supersingular fiber with an ordinary verdict, but base genus is "

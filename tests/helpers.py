@@ -156,3 +156,13 @@ def bareiss_resultant(f, g) -> int:
                 row[j] = (pivot * row[j] - c * pivot_row[j]) // previous
         previous = pivot
     return sign * rows[-1][-1] if size else 1
+
+
+def matrix_power_by_products(rows, e: int, p: int) -> list[list[int]]:
+    """rows^e mod p for a square integer matrix and e >= 1, by e - 1 schoolbook products."""
+    n = len(rows)
+    power = [[c % p for c in row] for row in rows]
+    for _ in range(e - 1):
+        power = [[sum(power[i][k] * rows[k][j] for k in range(n)) % p for j in range(n)]
+                 for i in range(n)]
+    return power

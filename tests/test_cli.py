@@ -350,8 +350,8 @@ def test_branch_scan_powers_the_cartier_matrix_only_where_dp_is_not_ordinary(
     tmp_path, monkeypatch, capsys
 ):
     # x^6 + x^2 + 2 takes the p-ranks 2, 1 and 0 below 400: the determinant
-    # answers rank 2, and M^2 is built once at each prime of rank 1 or 0
-    powers = count_calls(monkeypatch, "ffpoly", "matrix_power_mod", key=lambda rows, e, p: p)
+    # answers rank 2, and M is squared once at each prime of rank 1 or 0
+    powers = count_calls(monkeypatch, "ffpoly", "matrix_mul_mod", key=lambda a, b, p: p)
     path = write_spec(tmp_path, {"E": {"a": 1, "b": 1}, "branch": [2, 0, 1, 0, 0, 0, 1]})
     assert main(["scan", path, "--pmax", "400", "--format", "json"]) == EXIT_OK
     rows = json.loads(capsys.readouterr().out)["rows"]

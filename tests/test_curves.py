@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import count_calls, matrix_power_by_products
 from isofib.curves import (
     BRANCH_MAX_DEGREE,
     RECURRENCE_MAX_WORK,
@@ -15,6 +16,7 @@ from isofib.curves import (
     cartier_manin,
     check_closed_form_bound,
     check_recurrence_bound,
+    _cartier_p_rank,
     _cartier_rows,
     hasse_invariant,
     hyperelliptic_p_ranks,
@@ -30,8 +32,8 @@ from isofib.ffpoly import (
     PrimeField,
     _is_prime,
     integer_resultant,
-    matrix_power_mod,
     matrix_rank_det,
+    rank_det_mod,
 )
 
 F5 = PrimeField(5)
@@ -213,10 +215,24 @@ def test_closed_forms_refuse_a_branch_beyond_degree_bound():
     at_bound = _random_squarefree(rng, F5, BRANCH_MAX_DEGREE)
     check_closed_form_bound(at_bound)  # degree 100: accepted
     beyond = HyperellipticModel(_random_squarefree(rng, F5, BRANCH_MAX_DEGREE + 1))
-    with pytest.raises(OracleBoundError, match="f has degree 101, exceeding bound 100"):
+    with pytest.raises(OracleBoundError, match="branch refused: degree 101 exceeds bound 100"):
         cartier_manin(beyond)
-    with pytest.raises(OracleBoundError, match="f has degree 101"):
+    with pytest.raises(OracleBoundError, match="degree 101 exceeds bound 100"):
         p_rank_hyperelliptic(beyond)
+
+
+def test_hyperelliptic_p_ranks_refuse_before_the_resultant_over_all_primes(monkeypatch):
+    # Res(f, f') of a degree-100 f with 400-digit coefficients, reduced mod the
+    # product of the primes to 10^4, takes minutes; the refusal at p = 439
+    # asks Res(f, f') mod that prime alone, on coefficients below p
+    rng = random.Random(7)
+    f = [rng.randrange(-10**400, 10**400) for _ in range(BRANCH_MAX_DEGREE)] + [1]
+    sizes = count_calls(monkeypatch, "ffpoly", "integer_resultant",
+                        key=lambda a, b: max(abs(c) for c in a).bit_length())
+    primes = [p for p in range(5, 10_000) if _is_prime(p)]
+    with pytest.raises(OracleBoundError, match="the recurrence takes 1011846 steps"):
+        hyperelliptic_p_ranks(f, primes)
+    assert max(sizes, default=0) < 10
 
 
 def _random_squarefree(rng, field, degree):
@@ -470,15 +486,33 @@ def test_hyperelliptic_p_ranks_match_the_model_p_rank():
                 model = HyperellipticModel(fp)
                 assert rank == p_rank_hyperelliptic(model), (f, p)
                 # the rank of M^g itself, where the determinant decides nothing
-                power = matrix_power_mod(cartier_manin(model).entries, model.genus, p)
+                power = matrix_power_by_products(cartier_manin(model).entries, model.genus, p)
                 assert rank == matrix_rank_det(FpMatrix(model.field, power))[0], (f, p)
                 seen.add(rank)
         assert rank_set is None or seen == rank_set, f
+
+
+def test_cartier_p_rank_is_the_rank_of_the_g_th_power():
+    # upper triangular with a zero on the diagonal, conjugated by a permutation,
+    # is singular with rank(M^k) falling over several k; squaring reaches the
+    # stable rank rank(M^g)
+    rng = random.Random(25)
+    for p in (5, 7, 101):
+        for _ in range(40):
+            g = rng.randrange(1, 9)
+            zeros = set(rng.sample(range(g), rng.randrange(1, g + 1)))
+            upper = [[0 if j < i or (j == i and i in zeros) else rng.randrange(p)
+                      for j in range(g)] for i in range(g)]
+            order = rng.sample(range(g), g)
+            rows = [[upper[order[i]][order[j]] for j in range(g)] for i in range(g)]
+            assert rank_det_mod(rows, g, p)[1] == 0
+            stable = rank_det_mod(matrix_power_by_products(rows, g, p), g, p)[0]
+            assert _cartier_p_rank(rows, p) == stable, (p, rows)
 
 
 def test_hyperelliptic_p_ranks_refuse_bad_input():
     for primes in ([3], [5, 5], [7, 5], [5, 13]):  # 13 divides lc
         with pytest.raises(ValueError, match="increasing primes > 3 not dividing lc"):
             hyperelliptic_p_ranks((1, 0, 0, 2, 0, 13), primes)
-    with pytest.raises(OracleBoundError, match="f has degree 101, exceeding bound 100"):
+    with pytest.raises(OracleBoundError, match="branch refused: degree 101 exceeds bound 100"):
         hyperelliptic_p_ranks((1,) * 102, [5])

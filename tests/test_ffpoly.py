@@ -5,7 +5,7 @@ from time import perf_counter
 
 import pytest
 
-from helpers import bareiss_resultant
+from helpers import bareiss_resultant, matrix_power_by_products
 from isofib import ffpoly
 from isofib.ffpoly import (
     FpMatrix,
@@ -13,7 +13,6 @@ from isofib.ffpoly import (
     PrimeField,
     _is_prime,
     matrix_mul_mod,
-    matrix_power_mod,
     matrix_rank_det,
     poly_pow_coeff,
     rank_det_mod,
@@ -440,60 +439,60 @@ def test_matrix_rank_det_rectangular_and_empty():
     assert matrix_rank_det(empty) == (0, 1)
 
 
+def _random_matrix(rng, nrows, ncols, k, p):
+    """A random nrows x ncols matrix mod p of rank at most k, as a product of
+    nrows x k and k x ncols factors."""
+    left = [[rng.randrange(p) for _ in range(k)] for _ in range(nrows)]
+    right = [[rng.randrange(p) for _ in range(ncols)] for _ in range(k)]
+    return [[sum(row[i] * right[i][j] for i in range(k)) % p for j in range(ncols)]
+            for row in left]
+
+
+def _cofactor_det(rows, p):
+    if not rows:
+        return 1
+    return sum((-1) ** j * c * _cofactor_det([row[:j] + row[j + 1 :] for row in rows[1:]], p)
+               for j, c in enumerate(rows[0])) % p
+
+
 def test_matrix_det_against_permanent_expansion():
+    assert matrix_rank_det(FpMatrix(F5, [[0, 1], [1, 0]])) == (2, 4)  # one swap: det -1
     rng = random.Random(3)
-    for _ in range(30):
-        rows = [[rng.randrange(5) for _ in range(3)] for _ in range(3)]
-        m = FpMatrix(F5, rows)
-        a, b, c = rows[0]
-        d, e, f = rows[1]
-        g, h, i = rows[2]
-        det3 = (a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)) % 5
-        assert matrix_rank_det(m)[1] == det3
+    for n in range(5):
+        for _ in range(30):
+            k = n if rng.randrange(2) else rng.randrange(n + 1)  # half of full rank k = n
+            rows = _random_matrix(rng, n, n, k, 5)
+            rank, det = matrix_rank_det(FpMatrix(F5, rows))
+            assert det == _cofactor_det(rows, 5), rows
+            assert (rank == n) == (det != 0), rows
 
 
-def _row_space_size(rows, p):
-    span = {tuple([0] * len(rows[0]))}
+def _row_space_size(rows, ncols, p):
+    span = {(0,) * ncols}
     for row in rows:
-        new = set()
-        for v in span:
-            for c in range(p):
-                new.add(tuple((x + c * r) % p for x, r in zip(v, row)))
-        span = new
+        if tuple(c % p for c in row) not in span:
+            span = {tuple((x + c * r) % p for x, r in zip(v, row)) for v in span for c in range(p)}
     return len(span)
 
 
 def test_matrix_rank_against_row_space_enumeration():
     rng = random.Random(11)
-    for _ in range(25):
-        rows = [[rng.randrange(5) for _ in range(3)] for _ in range(3)]
-        rank, _ = matrix_rank_det(FpMatrix(F5, rows))
-        assert 5**rank == _row_space_size(rows, 5)
+    for nrows in range(7):
+        for ncols in range(7):
+            for k in range(min(nrows, ncols) + 1):
+                rows = _random_matrix(rng, nrows, ncols, k, 5)
+                rank, det = rank_det_mod(rows, ncols, 5)
+                assert 5**rank == _row_space_size(rows, ncols, 5), rows
+                assert (det != 0) == (rank == nrows), rows
+                if nrows:  # an FpMatrix without rows is 0 x 0
+                    square = nrows == ncols
+                    assert matrix_rank_det(FpMatrix(F5, rows)) == (rank, det if square else None)
 
 
 def test_matrix_power():
     m = [[0, 3], [0, 0]]
-    assert matrix_power_mod(m, 1, 7) == m
-    assert matrix_power_mod(m, 2, 7) == [[0, 0], [0, 0]]
+    assert matrix_power_by_products(m, 1, 7) == m
+    assert matrix_power_by_products(m, 2, 7) == [[0, 0], [0, 0]]
     assert matrix_mul_mod([[1, 2], [3, 4]], [[5, 6], [7, 8]], 7) == [[5, 1], [1, 1]]  # 19, 22; 43, 50
-
-
-def test_matrix_power_is_the_repeated_product_with_fewest_multiplies(monkeypatch):
     m = [[1, 2, 3], [4, 5, 6], [0, 1, 2]]
-    acc = m
-    products = []
-    real_mul = ffpoly.matrix_mul_mod
-
-    def recording_mul(a, b, p):
-        products.append(None)
-        return real_mul(a, b, p)
-
-    for e in range(1, 7):
-        monkeypatch.setattr(ffpoly, "matrix_mul_mod", recording_mul)
-        products.clear()
-        powered = matrix_power_mod(m, e, 7)
-        monkeypatch.setattr(ffpoly, "matrix_mul_mod", real_mul)
-        assert [[c % 7 for c in row] for row in powered] == acc, e
-        assert len(products) == (0, 1, 2, 2, 3, 3)[e - 1], e
-        acc = real_mul(acc, m, 7)
-
+    assert matrix_mul_mod(m, matrix_mul_mod(m, m, 7), 7) == matrix_power_by_products(m, 3, 7)

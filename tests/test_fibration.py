@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,6 +20,7 @@ from isofib.fibration import (
     TranslationClass,
     ValidationError,
     _degree_fractions,
+    _riemann_hurwitz,
     genus_cover_tower,
     line_bundle_degrees,
     singular_fibers,
@@ -243,6 +245,22 @@ def test_fiber_classes_match_their_resolution():
 def test_validate_odd_a2_fails_integrality():
     violations = violations_of(Rotation.C2, a2=3)
     assert any("deg L1" in v and "3/2" in v for v in violations)
+
+
+def test_integral_degrees_make_riemann_hurwitz_even():
+    # validation checks no parity: 2g(D') - 2 is even once every deg L_i is an integer
+    integral = 0
+    for rotation in Rotation:
+        keys = [name for name in RAM_KEYS if rotation.order % int(name[1]) == 0]
+        for counts in itertools.product(range(7), repeat=len(keys)):
+            ram = RamificationData(**dict(zip(keys, counts)))
+            if any(num % den for num, den, _ in _degree_fractions(rotation, ram)):
+                continue
+            for genus_base in range(3):
+                integral += 1
+                spec = SimpleNamespace(rotation=rotation, genus_base=genus_base, ram=ram)
+                assert _riemann_hurwitz(spec, 1) % 2 == 0, (rotation, counts, genus_base)
+    assert integral == 8766
 
 
 def test_validate_balanced_c3_passes():

@@ -321,7 +321,7 @@ def test_hasse_poly_z2_refuses_beyond_closed_form_bound():
 
 def test_hasse_poly_z2_refuses_a_branch_beyond_degree_bound():
     branch = FpPolynomial(F5, [1] * 102)  # degree 101: refused before any other check
-    with pytest.raises(OracleBoundError, match="f has degree 101"):
+    with pytest.raises(OracleBoundError, match="branch refused: degree 101 exceeds bound 100"):
         hasse_poly_z2(EllipticCurveW(F5, 1, 1), branch)
 
 
