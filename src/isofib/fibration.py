@@ -16,14 +16,18 @@ types with Euler numbers, quotient-singularity lists and pre-blow-down
 intersection matrices; the direct image of the structure sheaf along the
 cyclic cover decomposes into character line bundles L_1 ... L_(n-1) whose
 degrees determine chi(O_X), the Euler number and the cohomology dimensions.
+One character rule, tabulated at import, gives every degree and its formula
+text; summed over the characters trivial on a subgroup H, the same degrees
+give the genus of each cover D'/H in the tower.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+from itertools import compress
 from math import gcd
-from operator import index
+from operator import attrgetter, index, mul
 
 from .curves import EllipticCurveW, HyperellipticModel, j_invariant_and_aut
 from .ffpoly import FpPolynomial, Frozen, PrimeField
@@ -227,63 +231,56 @@ def singular_fibers(spec: FibrationSpec) -> tuple[tuple[FiberClass, int], ...]:
     )
 
 
+# the order a degree formula names the branch keys in: larger index first, p before m
+_TERM_ORDER = ("a6p", "a6m", "a4p", "a4m", "a3p", "a3m", "a2")
+
+
+def _character_bundles(rotation: Rotation) -> tuple[tuple[int, tuple[int, ...], int, str], ...]:
+    """(exponent i, weights, denominator, formula text) of each character line
+    bundle L(chi^i) of D' -> C, listed as L_k = chi^k except that order 6 lists
+    chi, chi^4, chi^3, chi^2, chi^5.  -deg L(chi^i) = sum over the branch keys of
+    count * <i*c/n> (Pardini 1991), where n is the rotation order, <.> the
+    fractional part, e the key's index and c = (n/e)(e-1) for a p key, n/e for an
+    m key or a2; ``weights`` are the numerators over n/gcd(n, i), by RAM_KEYS."""
+    n = rotation.order
+    exponents = (1, 4, 3, 2, 5) if rotation is Rotation.C6 else range(1, n)
+    rows = []
+    for k, i in enumerate(exponents, 1):
+        den = n // gcd(n, i)
+        weights = {}
+        for name in RAM_KEYS:
+            e = int(name[1])
+            c = n // e * (1 if name.endswith("m") else e - 1)
+            weights[name] = i * c % n * den // n if n % e == 0 else 0
+        terms = [f"{w}*{name}" if w > 1 else name for name in _TERM_ORDER if (w := weights[name])]
+        sum_text = terms[0] if len(terms) == 1 else f"({' + '.join(terms)})"
+        rows.append((i, tuple(weights.values()), den, f"deg L{k} = -{sum_text}/{den}"))
+    return tuple(rows)
+
+
+_BUNDLES = {rotation: _character_bundles(rotation) for rotation in Rotation}
+
+# (R, h) -> which rows of _BUNDLES[R] have chi^i trivial on the subgroup of order h: h | i
+_TRIVIAL_ON = {
+    (rotation, h): tuple(i % h == 0 for i, *_ in _BUNDLES[rotation])
+    for rotation in Rotation for h in range(1, rotation.order + 1) if rotation.order % h == 0
+}
+
+_ram_counts = attrgetter(*RAM_KEYS)
+
+
 def _degree_fractions(rotation: Rotation, r: RamificationData) -> list[tuple[int, int, str]]:
     """(numerator, denominator, formula text) for -deg L_i, i = 1..n-1."""
-    if rotation is Rotation.TRIVIAL:
-        return []
-    if rotation is Rotation.C2:
-        return [(r.a2, 2, "deg L1 = -a2/2")]
-    if rotation is Rotation.C3:
-        return [
-            (2 * r.a3p + r.a3m, 3, "deg L1 = -(2*a3p + a3m)/3"),
-            (r.a3p + 2 * r.a3m, 3, "deg L2 = -(a3p + 2*a3m)/3"),
-        ]
-    if rotation is Rotation.C4:
-        return [
-            (3 * r.a4p + r.a4m + 2 * r.a2, 4, "deg L1 = -(3*a4p + a4m + 2*a2)/4"),
-            (r.a4p + r.a4m, 2, "deg L2 = -(a4p + a4m)/2"),
-            (r.a4p + 3 * r.a4m + 2 * r.a2, 4, "deg L3 = -(a4p + 3*a4m + 2*a2)/4"),
-        ]
-    return [
-        (
-            5 * r.a6p + r.a6m + 4 * r.a3p + 2 * r.a3m + 3 * r.a2,
-            6,
-            "deg L1 = -(5*a6p + a6m + 4*a3p + 2*a3m + 3*a2)/6",
-        ),
-        (
-            r.a6p + 2 * r.a6m + 2 * r.a3p + r.a3m,
-            3,
-            "deg L2 = -(a6p + 2*a6m + 2*a3p + a3m)/3",
-        ),
-        (r.a2 + r.a6p + r.a6m, 2, "deg L3 = -(a2 + a6p + a6m)/2"),
-        (
-            2 * r.a6p + r.a6m + r.a3p + 2 * r.a3m,
-            3,
-            "deg L4 = -(2*a6p + a6m + a3p + 2*a3m)/3",
-        ),
-        (
-            r.a6p + 5 * r.a6m + 2 * r.a3p + 4 * r.a3m + 3 * r.a2,
-            6,
-            "deg L5 = -(a6p + 5*a6m + 2*a3p + 4*a3m + 3*a2)/6",
-        ),
-    ]
+    counts = _ram_counts(r)
+    return [(sum(map(mul, w, counts)), den, text) for _, w, den, text in _BUNDLES[rotation]]
 
 
-def _riemann_hurwitz(spec: FibrationSpec, h: int) -> int:
-    """2g - 2 of D'/H for the subgroup H of order h of the rotation group.
-
-    D'/H is the cyclic cover of C of degree m = n/h; over a branch point of
-    index e it has m/e' points of index e' = e / gcd(e, h).  h = 1 gives D'
-    itself, h = 2 the intermediate double cover D'' (order 4) or triple
-    cover D''' (order 6), h = 3 the intermediate double cover of order 6.
-    """
-    m = spec.rotation.order // h
-    total = m * (2 * spec.genus_base - 2)
-    for name in RAM_KEYS:
-        e = int(name[1])
-        e_h = e // gcd(e, h)
-        total += getattr(spec.ram, name) * (m // e_h) * (e_h - 1)
-    return total
+def _cover_genus(spec: FibrationSpec, deg_l: tuple[int, ...] | list[int], h: int) -> int:
+    """Genus of D'/H for the subgroup H of order h of the rotation group, from the
+    degrees of L_1 ... L_(n-1).  D'/H pushes its structure sheaf forward to the
+    L(chi^i) with h | i, so its genus is 1 + (n/h)(g_C - 1) minus their degrees."""
+    trivial_on_h = compress(deg_l, _TRIVIAL_ON[spec.rotation, h])
+    return 1 + spec.rotation.order // h * (spec.genus_base - 1) - sum(trivial_on_h)
 
 
 # (h, name) of the intermediate covers D'/H whose genus must be nonnegative
@@ -320,20 +317,21 @@ def validate_spec(spec: FibrationSpec) -> list[str]:
                 f"stabilizer of order {index} inside a rotation group of order {n}"
             )
 
-    for num, den, formula in _degree_fractions(spec.rotation, r):
+    fractions = _degree_fractions(spec.rotation, r)
+    for num, den, formula in fractions:
         if num % den != 0:
             violations.append(f"{formula} = -{num}/{den} is not an integer")
 
     if not violations:
-        twice = _riemann_hurwitz(spec, 1)  # even once every degree is integral
-        if twice < -2:
+        deg_l = [-(num // den) for num, den, _ in fractions]
+        g_prime = _cover_genus(spec, deg_l, 1)
+        if g_prime < 0:
             violations.append(
-                f"Riemann-Hurwitz gives genus {(twice + 2) // 2} < 0 for D': "
-                "no such cover exists"
+                f"Riemann-Hurwitz gives genus {g_prime} < 0 for D': no such cover exists"
             )
         else:
             for h, name in _INTERMEDIATE_COVERS.get(spec.rotation, ()):
-                if _riemann_hurwitz(spec, h) < -2:
+                if _cover_genus(spec, deg_l, h) < 0:
                     violations.append(f"intermediate {name} cover would have negative genus")
 
     if spec.e_model is not None:
@@ -391,11 +389,12 @@ def genus_cover_tower(spec: FibrationSpec) -> tuple[int, int | None, int | None]
     double cover (rotation order 4), the last the intermediate triple cover
     (rotation order 6); absent entries are None.
     """
-    g_prime = _riemann_hurwitz(spec, 1) // 2 + 1
+    deg_l = line_bundle_degrees(spec)
+    g_prime = _cover_genus(spec, deg_l, 1)
     if spec.rotation is Rotation.C4:
-        return g_prime, _riemann_hurwitz(spec, 2) // 2 + 1, None
+        return g_prime, _cover_genus(spec, deg_l, 2), None
     if spec.rotation is Rotation.C6:
-        return g_prime, None, _riemann_hurwitz(spec, 2) // 2 + 1
+        return g_prime, None, _cover_genus(spec, deg_l, 2)
     return g_prime, None, None
 
 

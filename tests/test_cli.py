@@ -144,6 +144,21 @@ def test_invariants_validation_failure(tmp_path, capsys):
     assert "deg L1" in err
 
 
+def test_invariants_names_every_fractional_order_six_degree(tmp_path, capsys):
+    doc = {"p": 7, "R": "C6", "ram": {"a2": 1, "a3p": 1, "a3m": 2}}
+    code = main(["invariants", write_spec(tmp_path, doc)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert err == (
+        "invalid fibration data:\n"
+        "  - deg L1 = -(5*a6p + a6m + 4*a3p + 2*a3m + 3*a2)/6 = -11/6 is not an integer\n"
+        "  - deg L2 = -(a6p + 2*a6m + 2*a3p + a3m)/3 = -4/3 is not an integer\n"
+        "  - deg L3 = -(a6p + a6m + a2)/2 = -1/2 is not an integer\n"
+        "  - deg L4 = -(2*a6p + a6m + a3p + 2*a3m)/3 = -5/3 is not an integer\n"
+        "  - deg L5 = -(a6p + 5*a6m + 2*a3p + 4*a3m + 3*a2)/6 = -13/6 is not an integer\n"
+    )
+
+
 def test_invariants_parse_failure_malformed_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"p": 5,')

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from isofib import fibration
 from isofib.curves import EllipticCurveW
 from isofib.ffpoly import PrimeField
 from isofib.fibration import (
@@ -19,8 +20,10 @@ from isofib.fibration import (
     Rotation,
     TranslationClass,
     ValidationError,
+    _BUNDLES,
+    _TRIVIAL_ON,
+    _cover_genus,
     _degree_fractions,
-    _riemann_hurwitz,
     genus_cover_tower,
     line_bundle_degrees,
     singular_fibers,
@@ -28,7 +31,7 @@ from isofib.fibration import (
     validate_spec,
 )
 
-from helpers import make_spec, random_valid_spec, violations_of
+from helpers import count_calls, make_spec, random_valid_spec, violations_of
 
 
 def test_translation_class_divisibility():
@@ -247,19 +250,33 @@ def test_validate_odd_a2_fails_integrality():
     assert any("deg L1" in v and "3/2" in v for v in violations)
 
 
-def test_integral_degrees_make_riemann_hurwitz_even():
-    # validation checks no parity: 2g(D') - 2 is even once every deg L_i is an integer
+def test_character_sum_genera_match_riemann_hurwitz_over_the_branch_points():
+    # the genus of D'/H, H of order h, is read off the characters trivial on H.
+    # Counted over the branch points instead, D'/H has degree m = n/h over C and
+    # m/e_h points of index e_h = e/gcd(e, h) over a branch point of index e
     integral = 0
     for rotation in Rotation:
-        keys = [name for name in RAM_KEYS if rotation.order % int(name[1]) == 0]
+        n = rotation.order
+        subgroups = [h for h in range(1, n + 1) if n % h == 0]
+        assert [h for r, h in _TRIVIAL_ON if r is rotation] == subgroups
+        keys = [name for name in RAM_KEYS if n % int(name[1]) == 0]
         for counts in itertools.product(range(7), repeat=len(keys)):
-            ram = RamificationData(**dict(zip(keys, counts)))
-            if any(num % den for num, den, _ in _degree_fractions(rotation, ram)):
+            fractions = _degree_fractions(rotation, RamificationData(**dict(zip(keys, counts))))
+            if any(num % den for num, den, _ in fractions):
                 continue
+            deg_l = [-(num // den) for num, den, _ in fractions]
             for genus_base in range(3):
                 integral += 1
-                spec = SimpleNamespace(rotation=rotation, genus_base=genus_base, ram=ram)
-                assert _riemann_hurwitz(spec, 1) % 2 == 0, (rotation, counts, genus_base)
+                spec = SimpleNamespace(rotation=rotation, genus_base=genus_base)
+                for h in subgroups:  # h = 1 gives D' itself, h = n the base C
+                    genus = _cover_genus(spec, deg_l, h)
+                    m = n // h
+                    twice = m * (2 * genus_base - 2)
+                    for name, count in zip(keys, counts):
+                        e = int(name[1])
+                        e_h = e // math.gcd(e, h)
+                        twice += count * (m // e_h) * (e_h - 1)
+                    assert 2 * genus - 2 == twice, (rotation, counts, genus_base, h)
     assert integral == 8766
 
 
@@ -438,6 +455,74 @@ CHARACTER_EXPONENTS = {
     Rotation.C4: (1, 2, 3),
     Rotation.C6: (1, 4, 3, 2, 5),
 }
+
+
+# the paper's degree formulas, -deg L_k = (sum of weight * count)/den, in listing order
+PAPER_DEGREE_FORMULAS = {
+    Rotation.TRIVIAL: (),
+    Rotation.C2: (({"a2": 1}, 2, "deg L1 = -a2/2"),),
+    Rotation.C3: (
+        ({"a3p": 2, "a3m": 1}, 3, "deg L1 = -(2*a3p + a3m)/3"),
+        ({"a3p": 1, "a3m": 2}, 3, "deg L2 = -(a3p + 2*a3m)/3"),
+    ),
+    Rotation.C4: (
+        ({"a4p": 3, "a4m": 1, "a2": 2}, 4, "deg L1 = -(3*a4p + a4m + 2*a2)/4"),
+        ({"a4p": 1, "a4m": 1}, 2, "deg L2 = -(a4p + a4m)/2"),
+        ({"a4p": 1, "a4m": 3, "a2": 2}, 4, "deg L3 = -(a4p + 3*a4m + 2*a2)/4"),
+    ),
+    Rotation.C6: (
+        (
+            {"a6p": 5, "a6m": 1, "a3p": 4, "a3m": 2, "a2": 3},
+            6,
+            "deg L1 = -(5*a6p + a6m + 4*a3p + 2*a3m + 3*a2)/6",
+        ),
+        (
+            {"a6p": 1, "a6m": 2, "a3p": 2, "a3m": 1},
+            3,
+            "deg L2 = -(a6p + 2*a6m + 2*a3p + a3m)/3",
+        ),
+        ({"a6p": 1, "a6m": 1, "a2": 1}, 2, "deg L3 = -(a6p + a6m + a2)/2"),
+        (
+            {"a6p": 2, "a6m": 1, "a3p": 1, "a3m": 2},
+            3,
+            "deg L4 = -(2*a6p + a6m + a3p + 2*a3m)/3",
+        ),
+        (
+            {"a6p": 1, "a6m": 5, "a3p": 2, "a3m": 4, "a2": 3},
+            6,
+            "deg L5 = -(a6p + 5*a6m + 2*a3p + 4*a3m + 3*a2)/6",
+        ),
+    ),
+}
+
+
+def test_bundle_table_reproduces_the_papers_degree_formulas():
+    for rotation, formulas in PAPER_DEGREE_FORMULAS.items():
+        expected = [
+            (tuple(weights.get(name, 0) for name in RAM_KEYS), den, text)
+            for weights, den, text in formulas
+        ]
+        assert [row[1:] for row in _BUNDLES[rotation]] == expected, rotation
+        assert tuple(row[0] for row in _BUNDLES[rotation]) == CHARACTER_EXPONENTS[rotation]
+
+
+def test_spec_construction_reads_the_bundle_table_without_deriving_it(monkeypatch):
+    derived = count_calls(monkeypatch, "fibration", "_character_bundles")
+    rng = random.Random(6)
+    for rotation in Rotation:
+        random_valid_spec(rng, rotation)
+    law_breaking = [
+        violations_of(Rotation.TRIVIAL, a2=1),
+        violations_of(Rotation.C2, a2=3),
+        violations_of(Rotation.C3, a3p=1),
+        violations_of(Rotation.C4, a4p=1),
+        violations_of(Rotation.C6, a2=1),
+    ]
+    assert all(law_breaking)
+    assert sum(derived.values()) == 0
+    # the counter sees a derivation through the module
+    fibration._character_bundles(Rotation.C2)
+    assert sum(derived.values()) == 1
 
 
 def test_degree_fractions_follow_the_eigensheaf_formula():
