@@ -12,7 +12,9 @@ Spec documents are JSON with exact integers::
       "branch": [1, 0, 0, 0, 1]   // optional branch locus, lowest degree first
     }
 
-Subcommands: ``invariants``, ``decide``, ``verify-examples``, ``scan``.
+Subcommands: ``invariants``, ``decide``, ``verify-examples``, ``scan``.  Each
+command builds one payload and renders it as text or as JSON (``_json_text``, faster
+than the indented ``json.dumps``); a scan writes each row from one template per state.
 Exit codes: 0 success, 1 validation failure, 2 unreadable or unparsable input,
 3 oracle-bound refusal.
 """
@@ -243,9 +245,29 @@ def _print_validation_failure(violations: list[str]) -> None:
         print(f"  - {v}", file=sys.stderr)
 
 
-def _print_json(payload: dict) -> int:
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    return EXIT_OK
+# the JSON text of each scalar type, by exact type
+_SCALAR_TEXT = {str: json.encoder.encode_basestring_ascii, int: int.__repr__,
+                bool: {False: "false", True: "true"}.__getitem__,
+                type(None): {None: "null"}.__getitem__}
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """The text of ``json.dumps(value, indent=2, sort_keys=True)`` for dicts with
+    str keys, lists, str, int, bool and None; TypeError on anything else.
+    ``indent`` is the newline and indentation the value's own lines start with."""
+    scalar = _SCALAR_TEXT.get(type(value))
+    if scalar is not None:
+        return scalar(value)
+    inner, get = indent + "  ", _SCALAR_TEXT.get
+    if type(value) is list:
+        items = [text(v) if (text := get(type(v))) else _json_text(v, inner) for v in value]
+        return f"[{inner}" + f",{inner}".join(items) + f"{indent}]" if items else "[]"
+    if type(value) is not dict:
+        raise TypeError(f"{type(value).__name__} is not written as JSON")
+    quote = json.encoder.encode_basestring_ascii  # raises TypeError on a key that is not str
+    items = [quote(k) + ": " + (text(v) if (text := get(type(v))) else _json_text(v, inner))
+             for k, v in sorted(value.items())]
+    return f"{{{inner}" + f",{inner}".join(items) + f"{indent}}}" if items else "{}"
 
 
 def invariants_payload(spec: FibrationSpec) -> dict:
@@ -272,7 +294,8 @@ def invariants_payload(spec: FibrationSpec) -> dict:
 def cmd_invariants(args) -> int:
     payload = invariants_payload(load_spec(args.spec_file))
     if args.format == "json":
-        return _print_json(payload)
+        print(_json_text(payload))
+        return EXIT_OK
     doc = payload["spec"]
     flags = (("rational", payload["rational"]), ("K3-candidate", payload["k3_candidate"]))
     rows = [
@@ -368,7 +391,8 @@ def cmd_decide(args) -> int:
     overrides = _parse_set_overrides(args.set or [])
     payload = decide_payload(load_spec(args.spec_file), overrides)
     if args.format == "json":
-        return _print_json(payload)
+        print(_json_text(payload))
+        return EXIT_OK
     print(f"verdict  {'ordinary' if payload['ordinary'] else 'NOT ordinary'}")
     print(f"scope    {payload['scope']}")
     print(f"clause   {payload['clause']}")
@@ -528,22 +552,19 @@ def load_scan_document(path: str) -> tuple[EllipticCurveQ, list[int] | None]:
     return curve, branch
 
 
+# a scan row as the indented dump writes it: %s for Dp_ord, E_ord, good, verdict, %%d for p
 _JSON_ROW = """    {
       "Dp_ord": %s,
       "E_ord": %s,
       "good": %s,
-      "p": %d,
+      "p": %%d,
       "verdict": %s
     }"""
 
 
-def _scan_row(p: int, e_ord=None, dp_ord=None, verdict=None) -> dict:
-    """One row of a scan; a prime without an E_ord value is a bad prime."""
-    return {"p": p, "good": e_ord is not None, "E_ord": e_ord, "Dp_ord": dp_ord, "verdict": verdict}
-
-
-def _branch_rows(curve: EllipticCurveQ, branch: list[int], primes: list[int]) -> list[dict]:
-    """The rows of a scan of the order-2 chain with E and branch y^2 = branch.
+def _branch_rows(curve: EllipticCurveQ, branch: list[int], primes: list[int]) -> list[tuple]:
+    """The state (E_ord, Dp_ord, verdict) of each prime of a scan of the order-2
+    chain with E and branch y^2 = branch; a bad prime has (None, None, None).
 
     A prime is bad where E is singular, the branch degree drops or the branch
     is not squarefree; ``hyperelliptic_p_ranks`` and ``ordinary_primes`` give
@@ -565,21 +586,18 @@ def _branch_rows(curve: EllipticCurveQ, branch: list[int], primes: list[int]) ->
             ram=RamificationData(a2=degree + degree % 2),
             field=PrimeField(good[0]),
         )
-    answers = {}  # (E rank, D' rank) -> (E_ord, Dp_ord, verdict)
-    rows = []
+    answers = {None: (None, None, None)}  # (E rank, D' rank) or None -> (E_ord, Dp_ord, verdict)
+    states = []
     for p in primes:
-        if p not in e_ranks:
-            rows.append(_scan_row(p))
-            continue
-        ranks = (e_ranks[p], dp_ranks[p])
+        ranks = (e_ranks[p], dp_ranks[p]) if p in e_ranks else None
         if ranks not in answers:
             # the shape carries no models: the ranks computed above stand in for them
             report = build_report(shape, {"E": ranks[0], "Dp": ranks[1]})
             answers[ranks] = (
                 report.E.ordinary, bool(report.Dp.ordinary), decide(shape, report).ordinary
             )
-        rows.append(_scan_row(p, *answers[ranks]))
-    return rows
+        states.append(answers[ranks])
+    return states
 
 
 def cmd_scan(args) -> int:
@@ -590,43 +608,32 @@ def cmd_scan(args) -> int:
     if branch is None:
         good = [p for p in primes if curve.has_good_reduction(p)]
         e_ord = dict(zip(good, ordinary_primes(curve, good)))
-        rows = [_scan_row(p, e_ord.get(p), None, e_ord.get(p)) for p in primes]
+        states = [(e_ord.get(p), None, e_ord.get(p)) for p in primes]
     else:
-        rows = _branch_rows(curve, branch, primes)
-    good = [r for r in rows if r["good"]]
-    ordinary = [r for r in good if r["verdict"]]
+        states = _branch_rows(curve, branch, primes)
+    # a row's bytes depend only on p and its state: one %d template per state
+    counts = {state: states.count(state) for state in set(states)}
+    good = sum(n for (e_ord, _, _), n in counts.items() if e_ord is not None)
+    ordinary = sum(n for (_, _, verdict), n in counts.items() if verdict)
 
     if args.format == "json":
-        # the bytes of json.dumps(indent=2, sort_keys=True), whose indented
-        # encoder is pure Python: the summary through it, each row by template
-        divisor = math.gcd(len(ordinary), len(good))
-        summary = json.dumps({
-            "good_primes": len(good),
-            "ordinary_primes": len(ordinary),
-            "ordinary_fraction": [len(ordinary) // divisor, len(good) // divisor] if good else None,
-        }, indent=2, sort_keys=True)
-        lit = {None: "null", False: "false", True: "true"}
-        text = ",\n".join(_JSON_ROW % (
-            lit[r["Dp_ord"]], lit[r["E_ord"]], lit[r["good"]], r["p"], lit[r["verdict"]]
-        ) for r in rows)
-        print(f'{summary[:-2]},\n  "rows": ' + (f"[\n{text}\n  ]" if rows else "[]") + "\n}")
+        divisor = math.gcd(ordinary, good)
+        fraction = [ordinary // divisor, good // divisor] if good else None
+        summary = _json_text(
+            {"good_primes": good, "ordinary_fraction": fraction, "ordinary_primes": ordinary})
+        row = {(e, dp, v): _JSON_ROW % tuple(map(_json_text, (dp, e, e is not None, v)))
+               for e, dp, v in counts}
+        text = ",\n".join([row[state] % p for p, state in zip(primes, states)])
+        print(f'{summary[:-2]},\n  "rows": ' + (f"[\n{text}\n  ]" if primes else "[]") + "\n}")
         return EXIT_OK
 
-    def cell(value):
-        if value is None:
-            return "-"
-        return "1" if value else "0"
-
-    print("p\tgood\tE_ord\tDp_ord\tverdict")
-    for r in rows:
-        print(f"{r['p']}\t{cell(r['good'])}\t{cell(r['E_ord'])}\t{cell(r['Dp_ord'])}\t{cell(r['verdict'])}")
-    if not good:
-        print("# no good primes in range")
-    else:
-        print(
-            f"# ordinary at {len(ordinary)}/{len(good)} good primes "
-            f"(fraction {len(ordinary) / len(good):.4f})"
-        )
+    cell = {None: "-", False: "0", True: "1"}
+    row = {(e, dp, v): f"\n%d\t{cell[e is not None]}\t{cell[e]}\t{cell[dp]}\t{cell[v]}"
+           for e, dp, v in counts}
+    text = "".join([row[state] % p for p, state in zip(primes, states)])
+    tail = (f"ordinary at {ordinary}/{good} good primes (fraction {ordinary / good:.4f})"
+            if good else "no good primes in range")
+    print(f"p\tgood\tE_ord\tDp_ord\tverdict{text}\n# {tail}")
     return EXIT_OK
 
 

@@ -148,6 +148,8 @@ class FibrationSpec(Frozen):
         object.__setattr__(self, "branch_poly", branch_poly)
         if index(self.genus_base) < 0:
             raise ValueError("base genus must be nonnegative")
+        # validation, the line-bundle degrees and the cover tower all read these
+        object.__setattr__(self, "_fractions", _degree_fractions(rotation, ram))
         violations = validate_spec(self)
         if violations:
             raise ValidationError(violations)
@@ -317,7 +319,7 @@ def validate_spec(spec: FibrationSpec) -> list[str]:
                 f"stabilizer of order {index} inside a rotation group of order {n}"
             )
 
-    fractions = _degree_fractions(spec.rotation, r)
+    fractions = spec._fractions
     for num, den, formula in fractions:
         if num % den != 0:
             violations.append(f"{formula} = -{num}/{den} is not an integer")
@@ -404,7 +406,7 @@ def line_bundle_degrees(spec: FibrationSpec) -> tuple[int, ...]:
     L_i is the chi^i eigensheaf for orders 2, 3 and 4; order 6 lists the chi,
     chi^4, chi^3, chi^2 and chi^5 eigensheaves, in that order.
     """
-    return tuple(-(num // den) for num, den, _ in _degree_fractions(spec.rotation, spec.ram))
+    return tuple(-(num // den) for num, den, _ in spec._fractions)
 
 
 class SurfaceInvariants(Frozen):

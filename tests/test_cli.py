@@ -19,6 +19,7 @@ from isofib.cli import (
     EXIT_ORACLE_BOUND,
     EXIT_PARSE,
     EXIT_VALIDATION,
+    GOLDEN_SUITE,
     SCAN_MAX_P,
     SpecDocumentError,
     main,
@@ -562,6 +563,93 @@ def test_scan_bytes_are_pinned(tmp_path, capsys, doc, pmax, digest):
     path = write_spec(tmp_path, doc, name="scan.json")
     assert main(["scan", path, "--pmax", str(pmax), "--format", "json"]) == EXIT_OK
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+# SHA-256 of `scan --pmax N` (TSV) on the documents of PINNED_SCANS
+PINNED_TSV_SCANS = (
+    "73ed54a32c39787781c443e55aa24f051233327621957c5d5b4c36759fd4d46b",
+    "fa4ec0dd34f560abf68a377ffe757e0ae25467afaf06ae5fa73af38c68c759cb",
+    "2f1d295aac428d59d9fe14742319f231040408dbc582e0afa70305bf717053c3",
+    "1284780d196353cd96302adb5dff627a4e2c1338f9e9bd198b7b9665378a8800",
+    "a7fcb27c4a1f5e9f17502ec00a08cf094416407e190d0adace394051b16c6570",
+    "9aaf070a021fea7a5f4298e20c78c65458f814b70635aaf52274d5aa9e32a267",
+    "e67b51b2adeb53e3a12fce47afcb825831614939cfb637c4fc99c433ec8f0607",
+)
+
+
+@pytest.mark.parametrize(
+    "doc, pmax, digest",
+    [(doc, pmax, digest) for (doc, pmax, _), digest in zip(PINNED_SCANS, PINNED_TSV_SCANS)],
+    ids=("j0", "j1728", "generic", "quintic", "sextic", "heptic", "octic"),
+)
+def test_scan_tsv_bytes_are_pinned(tmp_path, capsys, doc, pmax, digest):
+    path = write_spec(tmp_path, doc, name="scan.json")
+    assert main(["scan", path, "--pmax", str(pmax)]) == EXIT_OK
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+# SHA-256 of the exit code, stdout and stderr of `invariants` then `decide`, each
+# with --format text then json, on every golden case, a C4 divisor listing and a
+# law-breaking document
+PINNED_REPORTS = {
+    "fiber-euler-table-0":
+        "51fac1271770beeabb2e03e145689f8df27463c2c33c000f773eeb50eaef986d",
+    "fiber-euler-table-1":
+        "826b3ad26aa203ec922d87af778ae3f2c2f9b95f4ca783366fd1b02b5d55c2ca",
+    "two-branch-points-rational-0":
+        "021fb6b3af1524c3cc88be9d8fe106a35d05df3e7cea2db658f5abbae4574408",
+    "four-branch-points-k3-0":
+        "1f1aa400916225ad4465f268dd63857ae78857578e9617c0e660458925169827",
+    "rational-exception-0":
+        "cc106a990a3216578da8a62e3e61acb05d81f1054260c783303abac7973cc5d8",
+    "kummer-not-ordinary-0":
+        "3fba48192b034cdf043e67a17de01ab1c081965aab77269d4b07767d9687942b",
+    "trivial-rotation-product-0":
+        "e1826a69ed08769df0870bcba5f0477854b09227adba0153e0501c47781536d8",
+    "hasse-invariant-values-0":
+        "f33e9bde73b41a69801cd13ae25f78b93867accf79a883efdd1f8b70c6a79036",
+    "hasse-invariant-values-1":
+        "2891fa2225c280988c522414b3266ec6fbeeb8f24f63dcec1d343d3def66cd8e",
+    "hasse-invariant-values-2":
+        "8e3c4f8f623f20fa9e68026bbfdbf8632d73bddd2f0b419c2a4a0b06fdc3f9e1",
+    "order-four-divisor-0":
+        "c4521816e32c793ee60c91c6d8b4d651ba5d96067596f4820aef0625c084cd16",
+    "order-four-star-divisor-0":
+        "087c4a199483c77b3af015c863ff994068c421714b65cf887be87543f28b34f0",
+    "order-six-degrees-0":
+        "066740164ec058dffeddf6be550115e8d4930ae32b3cd271de7ea0cce1a0ff62",
+    "c4-divisor-listing":
+        "7a235d2617a89eeb6d7fdf7edc913d8628d0e5bbf5b85d14b1098adeb9601683",
+    "law-breaking":
+        "9bd9cf98429e3c0b199650116e916694225a3931e6050106c55658b0283159e8",
+}
+REPORT_DOCUMENTS = [
+    (f"{name}-{index}", document, overrides)
+    for name, _, cases in GOLDEN_SUITE
+    for index, (document, overrides, _) in enumerate(cases)
+] + [
+    ("c4-divisor-listing",
+     {"p": 13, "R": "C4", "ram": {"a4p": 4, "a4m": 2, "a2": 3}, "E": {"a": 1, "b": 0}},
+     {"Dp": "1", "Dpp": "1"}),
+    ("law-breaking", {"p": 5, "R": "C2", "ram": {"a2": 3}}, {}),
+]
+
+
+@pytest.mark.parametrize(
+    "document, overrides, digest",
+    [(document, overrides, PINNED_REPORTS[name]) for name, document, overrides in REPORT_DOCUMENTS],
+    ids=[name for name, _, _ in REPORT_DOCUMENTS],
+)
+def test_report_bytes_are_pinned(tmp_path, capsys, document, overrides, digest):
+    path = write_spec(tmp_path, document)
+    sets = [arg for name, value in overrides.items() for arg in ("--set", f"{name}={value}")]
+    transcript = []
+    for argv in (["invariants", path], ["decide", path, *sets]):
+        for form in ("text", "json"):
+            code = main([*argv, "--format", form])
+            captured = capsys.readouterr()
+            transcript.append(f"{code}\n{captured.out}\n{captured.err}")
+    assert hashlib.sha256("\n".join(transcript).encode()).hexdigest() == digest
 
 
 def test_branch_scan_at_the_advertised_limit_matches_the_per_prime_p_rank(tmp_path, capsys):

@@ -46,7 +46,7 @@ def test_prime_field_rejects_strong_pseudoprime():
 
 
 def test_is_prime_matches_sieve():
-    limit = 20_000
+    limit = 10**6 + 1
     sieve = bytearray([1]) * limit
     sieve[0] = sieve[1] = 0
     for i in range(2, int(limit**0.5) + 1):
@@ -55,6 +55,15 @@ def test_is_prime_matches_sieve():
     assert [n for n in range(limit) if _is_prime(n)] == [n for n in range(limit) if sieve[n]]
     for carmichael in (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265):
         assert not _is_prime(carmichael)
+
+
+def test_is_prime_rejects_strong_pseudoprimes_to_the_first_bases():
+    # strong pseudoprimes to bases 2, 3, 5 (below the four-base limit), to 2, 3, 5, 7
+    # (the limit itself, so the twelve bases decide) and to 2, 3, 5, 7, 11
+    for n in (25_326_001, 3_215_031_751, 2_152_302_898_747):
+        assert not _is_prime(n), n
+    # primes on either side of the limit, each base set deciding one
+    assert _is_prime(3_215_031_749) and _is_prime(3_215_031_767)
 
 
 def test_is_square_euler_criterion():

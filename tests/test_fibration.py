@@ -525,6 +525,24 @@ def test_spec_construction_reads_the_bundle_table_without_deriving_it(monkeypatc
     assert sum(derived.values()) == 1
 
 
+def test_a_valid_construction_runs_the_degree_formulas_once(monkeypatch):
+    runs = count_calls(monkeypatch, "fibration", "_degree_fractions")
+    specs = [
+        make_spec(Rotation.TRIVIAL, genus_base=2),
+        make_spec(Rotation.C2, a2=4),
+        make_spec(Rotation.C3, p=7, a3p=1, a3m=1),
+        make_spec(Rotation.C4, p=13, a4p=2, a2=1),
+        make_spec(Rotation.C6, p=7, a6p=1, a6m=1, a2=2),
+    ]
+    assert runs[None] == len(specs)
+    # the degrees, the tower and validation read the spec's own fractions again
+    for spec in specs:
+        assert line_bundle_degrees(spec) == spec.invariants.deg_l
+        assert genus_cover_tower(spec) == spec.invariants.tower
+        assert validate_spec(spec) == []
+    assert runs[None] == len(specs)
+
+
 def test_degree_fractions_follow_the_eigensheaf_formula():
     # a key's digit is its index e; its sign s is -1 for the m keys (the stabilizer
     # acts by the inverse root of unity) and +1 for a2 and the p keys.  A branch
