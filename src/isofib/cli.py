@@ -260,7 +260,9 @@ def _json_text(value, indent: str = "\n") -> str:
         return scalar(value)
     inner, get = indent + "  ", _SCALAR_TEXT.get
     if type(value) is list:
-        items = [text(v) if (text := get(type(v))) else _json_text(v, inner) for v in value]
+        seen: dict[int, str] = {}  # an object the list holds many times is written once
+        items = [text(v) if (text := get(type(v))) else seen.get(id(v)) or
+                 seen.setdefault(id(v), _json_text(v, inner)) for v in value]
         return f"[{inner}" + f",{inner}".join(items) + f"{indent}]" if items else "[]"
     if type(value) is not dict:
         raise TypeError(f"{type(value).__name__} is not written as JSON")
@@ -348,8 +350,8 @@ def _parse_set_overrides(pairs: list[str]) -> dict:
 def decide_payload(spec: FibrationSpec, overrides: dict) -> dict:
     """Verdict, curve report, consistency check and Hasse divisor of a valid spec.
 
-    The divisor is listed one entry per singular fiber; more than
-    DIVISOR_LISTING_MAX fibers raises OracleBoundError before the listing.
+    The divisor lists one entry per singular fiber, one object per fiber class;
+    more than DIVISOR_LISTING_MAX fibers raises OracleBoundError before the listing.
     """
     report = build_report(spec, overrides)
     verdict = decide(spec, report)
@@ -378,11 +380,8 @@ def decide_payload(spec: FibrationSpec, overrides: dict) -> dict:
         if divisor is None
         else {
             "total_degree": divisor.total_degree,
-            "entries": [
-                {"type": fc.kodaira_type.value, "multiplicity": mult}
-                for fc, mult, count in divisor.entries
-                for _ in range(count)
-            ],
+            "entries": [entry for fc, mult, count in divisor.entries for entry in
+                        [{"type": fc.kodaira_type.value, "multiplicity": mult}] * count],
         },
     }
 
@@ -412,8 +411,10 @@ def cmd_decide(args) -> int:
         print(f"consistency violation: {payload['consistency_violation']}")
     if payload["hasse_divisor"] is not None:
         print(f"Hasse divisor (total degree {payload['hasse_divisor']['total_degree']}):")
-        for entry in payload["hasse_divisor"]["entries"]:
-            print(f"  {entry['type']} fiber: multiplicity {entry['multiplicity']}")
+        lines: dict[int, str] = {}  # a fiber class lists one entry object count times
+        print("".join([lines.get(id(e)) or lines.setdefault(
+            id(e), f"  {e['type']} fiber: multiplicity {e['multiplicity']}\n")
+            for e in payload["hasse_divisor"]["entries"]]), end="")
     return EXIT_OK
 
 

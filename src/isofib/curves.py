@@ -11,23 +11,19 @@ Two routes to every ordinarity fact:
   degree equal to the p-rank.  It shares no code with the kernel.
 
 A scan asks for these facts at every prime up to a bound, and
-``ffpoly.half_power_windows`` answers each of them for all primes from one
-run: one run modulo the product of the primes still to be read replaces a
-recurrence per prime.  ``ordinary_primes`` reads E's Hasse invariant from one
-run; ``hyperelliptic_p_ranks`` reads every Cartier-Manin row within 2p of
-either end of f^((p-1)/2) from one run of h = f/x^v and one of rev(h), so a
-curve of genus at most 4 costs two runs.  The rows deeper than that (genus 5
-and up), and the low rows at the finitely many primes dividing h(0), come
-from ``poly_pow_coeff`` at that prime alone; squarefreeness mod p comes from
-Res(f, f') alone.  Both p-rank routes, ``p_rank_hyperelliptic`` on a model and
-``hyperelliptic_p_ranks`` on a scan, take rank(M^g) from one helper on integer
-rows: det M first, and only where det M = 0 the rank of M squared
-ceil(log2 g) times, which equals rank(M^g).  A run takes O(p_max)
-steps on numbers of about 1.44 p_max bits (twice that for a row beyond p).
-On a shared 2-vCPU x86-64 host (uncalibrated, one run each), a scan to
-p_max = 10^4 takes about 0.1 s for E alone, 0.4 s with a sextic branch and
-1.4 s with an octic one; E's run with coefficients of 13000 bits, reduced
-modulo the product, takes 1.4 s.
+``ffpoly.half_power_windows`` answers each of them for all primes from one run
+modulo the product of the primes still to be read, every read below p.
+``ordinary_primes`` reads E's Hasse invariant from one run.
+``hyperelliptic_p_ranks`` reads the Cartier-Manin rows 1 and g from one run of
+h = f/x^v and one of rev(h), and the middle rows from one run of each of g - 2
+translates f(x + c) (``_cartier_rows``); finitely many primes take the matrix
+from ``poly_pow_coeff`` alone, and squarefreeness comes from Res(f, f').  Both
+p-rank routes take rank(M^g) from one helper: det M, and only where it is 0
+the rank of M squared ceil(log2 g) times.  A run takes O(p_max) steps on
+numbers of about 1.44 p_max bits.  On a shared 2-vCPU x86-64 host
+(uncalibrated, one process each), a scan to p_max = 10^4 takes about 0.1 s
+for E alone, 0.4 s with a sextic branch, 0.6 s with an octic one and 11 s with
+one of degree 20; E's run with coefficients of 13000 bits takes 1.4 s.
 
 The oracles enumerate and therefore carry hard input bounds.  The closed
 forms and the command line refuse an f of degree beyond ``BRANCH_MAX_DEGREE``
@@ -41,7 +37,7 @@ Exceeding a bound raises ``OracleBoundError`` rather than silently truncating.
 from __future__ import annotations
 
 import math
-from operator import index
+from operator import index, mul
 
 from .ffpoly import (
     FpMatrix,
@@ -206,7 +202,7 @@ def ordinary_primes(curve: EllipticCurveQ, primes) -> list[bool]:
 def hyperelliptic_p_ranks(f, primes) -> list[int | None]:
     """The p-rank of y^2 = f(x) at each of the increasing primes p > 3, or
     None where f mod p is not squarefree.  No model is built, and a field
-    only at a prime that reads a row alone (see ``_cartier_rows``).
+    only at a prime that reads its matrix alone (see ``_cartier_rows``).
 
     f is an integer polynomial, lowest degree first, of degree 1 to
     BRANCH_MAX_DEGREE, and no prime may divide its leading coefficient.
@@ -273,41 +269,79 @@ def _cartier_rows(f: tuple[int, ...], primes) -> list[list[list[int]]]:
     """The Cartier-Manin matrix of y^2 = f(x) mod each prime, as rows.
 
     With f = x^v h, d = deg f and e = (p-1)/2, row i holds c_(pi-j)(f^e) for
-    j = 1..g.  It is the window of h^e at n = pi - 1 - ve, or the reversed
-    window of rev(h)^e at n = de - pi + g.  Each row is read from the end
-    where its n is shallower (n < p, then n < 2p), and all primes share one
-    ``half_power_windows`` run per end, so a genus-4 curve or smaller costs
-    two runs.  A row deeper than 2p at both ends (genus 5 and up), and a row
-    of the low end at a prime dividing h(0), comes from ``poly_pow_coeff``
-    at that prime alone.
+    j = 1..g: the window of h^e at n = pi - 1 - ve, or the reversed window of
+    rev(h)^e at n = de - pi + g, readable where the run index (n, or n // s
+    for h = H(x^s)) is below p.  Row g always is, row 1 where p does not
+    divide h(0), and every row of a sparse f = F(x^s) at most primes.
+
+    Where a middle row is not, all of them come from translates: by Lucas'
+    theorem and Fermat (README.md), row 1 of the matrix of f(x + c) has the
+    Pascal transform sum_(j'<=j) C(j-1, j'-1) c^(j-j') c_(p-j')(f(x + c)^e) =
+    sum_i c^(i-1) M_ij, and its values at the first g - 2 positive c with
+    f(c) != 0 give the middle rows by Lagrange interpolation; each translate
+    is read at n = p - 1.  Such a prime that divides h(0) or some f(c), or
+    does not exceed the largest c, takes the whole matrix from
+    ``poly_pow_coeff`` alone.  The rest share one ``half_power_windows`` run
+    per end of h and per translate.
     """
     d = len(f) - 1
     g = (d - 1) // 2
     v = next(i for i, c in enumerate(f) if c)
     h = f[v:]
+    step = math.gcd(*(k for k, c in enumerate(h) if k and c))  # h = H(x^step) runs as H
+    # the first g - 2 c > 0 with f(c) != 0 (f has at most d roots), and the runs h, rev(h), f(x + c)
+    nonroots = (c for c in range(1, d + g) if sum(a * c**n for n, a in enumerate(f)))
+    shifts = [c for _, c in zip(range(g - 2), nonroots)]
+    polys = [h, h[::-1]] + [[sum(a * math.comb(n, k) * c ** (n - k) for n, a in enumerate(f[k:], k))
+                             for k in range(d + 1)] for c in shifts]
+    reads = [[] for _ in polys]  # per run: (p, n, matrix, row)
     matrices = [[None] * g for _ in primes]
-    reads = {False: [], True: []}  # from the top end?: [(p, n)]
-    places = {False: [], True: []}  # [(matrix, row)]
     for at, p in enumerate(primes):
         e = (p - 1) // 2
-        alone = []  # rows this prime reads on its own
+        ends = {}  # row: (run, n) of a read at an end of h
         for i in range(1, g + 1):
             low, top = p * i - 1 - v * e, d * e - p * i + g
-            from_top = (top // p, top) < (low // p, low)
-            n = top if from_top else low
-            if n >= 2 * p or (not from_top and h[0] % p == 0):
-                alone.append(i)
+            low_index = low // step if h[0] % p else p  # no low read where p | h(0)
+            index, run, n = min((top // step, 1, top), (low_index, 0, low))
+            if index < p:
+                ends[i] = run, n
+        if len(ends) < g:
+            if 1 not in ends or p <= max(shifts, default=0) or not all(q[0] % p for q in polys[2:]):
+                ks = [p * i - j for i in range(1, g + 1) for j in range(1, g + 1)]
+                entries = poly_pow_coeff(FpPolynomial(PrimeField(p), f), e, ks)
+                matrices[at] = [list(entries[k : k + g]) for k in range(0, g * g, g)]
+                continue
+            ends = {1: ends[1], g: ends[g]}
+            for run in range(2, len(polys)):
+                reads[run].append((p, p - 1, at, None))
+        for i, (run, n) in ends.items():
+            reads[run].append((p, n, at, i))
+    firsts = {}  # matrix: row 1 of each translate
+    for run, poly in enumerate(polys):
+        windows = half_power_windows(poly, [read[:2] for read in reads[run]], g)
+        for (_, _, at, i), window in zip(reads[run], windows):
+            if i is None:
+                firsts.setdefault(at, []).append(window)
             else:
-                reads[from_top].append((p, n))
-                places[from_top].append((at, i))
-        if alone:
-            ks = [p * i - j for i in alone for j in range(1, g + 1)]
-            entries = poly_pow_coeff(FpPolynomial(PrimeField(p), f), e, ks)
-            for k, i in enumerate(alone):
-                matrices[at][i - 1] = list(entries[k * g : (k + 1) * g])
-    for from_top, poly in ((False, h), (True, h[::-1])):
-        for (at, i), window in zip(places[from_top], half_power_windows(poly, reads[from_top], g)):
-            matrices[at][i - 1] = list(window[::-1] if from_top else window)
+                matrices[at][i - 1] = list(window[::-1] if run else window)
+    # M_ij, 1 < i < g, is the sum over c of (sum_k c^(k-1) M_kj - M_1j - c^(g-1) M_gj)
+    # times [x^(i-2)] prod_(b != c)(x - b) / (c prod_(b != c)(c - b))
+    numerators, scales = [], []
+    for c in shifts:
+        numerator = [1]
+        for b in set(shifts) - {c}:
+            numerator = [y - b * x for x, y in zip(numerator + [0], [0] + numerator)]
+        numerators.append(numerator)
+        pascal = [[math.comb(j, k) * c ** (j - k) for k in range(j + 1)] for j in range(g)]
+        scales.append((pascal, c ** (g - 1), c * math.prod(c - b for b in shifts if b != c)))
+    for at, rows in firsts.items():
+        p, m = primes[at], matrices[at]
+        values = []
+        for (pascal, power, denominator), row in zip(scales, rows):
+            scale = pow(denominator, -1, p)
+            values.append([(sum(map(mul, weights, row)) - a - power * b) * scale % p
+                           for weights, a, b in zip(pascal, m[0], m[-1])])
+        m[1:-1] = matrix_mul_mod(list(zip(*numerators)), values, p)
     return matrices
 
 

@@ -21,8 +21,8 @@ at one prime.
 Scans ask for the same coefficients of h^((p-1)/2) at every prime up to a
 bound.  ``half_power_windows`` answers them all from one run of an integer
 recurrence that is the same for every p, modulo the product of the primes
-still to be read (p^2 for an index between p and 2p), and computes only the
-entries each read asks for; h = H(x^d) runs as H.  ``integer_resultant``
+still to be read, and computes only the entries each read asks for, all of
+them below p; h = H(x^d) runs as H.  ``integer_resultant``
 gives Res(f, f') once by subresultants, so that a scan knows where f mod p
 is squarefree without a test per prime.
 """
@@ -353,32 +353,23 @@ def half_power_windows(h, reads, width: int) -> list[tuple[int, ...]]:
 
     h is an integer polynomial, lowest degree first, of degree m >= 1 with
     h(0) != 0, and 0 <= width <= m.  Each read (p, n) names an odd prime p
-    not dividing h(0) and an index n < 2p.  Its answer is the window
+    not dividing h(0) and an index n < p.  Its answer is the window
     (g_n, g_(n-1), ..., g_(n-width+1)) mod p of g = h^((p-1)/2), with 0 at
     negative indices; only those entries are computed.
 
-    With e = (eps - 1)/2 and eps standing for p, G_n = (2h_0)^n n! g_n / h_0^e
-    obeys G_0 = 1 and G_n = sum_k ((eps+1)k - 2n) h_k (2h_0)^(k-1)
-    (n-1)(n-2)...(n-k+1) G_(n-k): integer coefficients, linear in eps and the
-    same for every prime.  The run writes G_n = A_n + eps B_n and steps both
-    parts once for all primes.  A read at n < p needs A_n mod p alone, where
-    S_n = (2h_0)^n n! is a unit and g_n = h_0^e A_n / S_n.  A read at
-    p <= n < 2p needs G_n mod p^2 = A_n + p B_n: there G_n and S_n are each
-    divisible by p exactly once, and g_n = h_0^e (G_n/p) / (S_n/p) mod p.
-
-    A and B run modulo the product of p^depth (depth 1 or 2 by the prime's
-    deepest read) over the primes still waiting to be read, so the modulus
-    shrinks as primes are read, and B stops once no depth-2 read is left.
-    (B_n mod p would do, but reducing B mod the smaller product of the depth-2
-    primes is a long division, quadratic in its size, at every step.)  The
-    coefficients enter as least-absolute residues mod that product, and again
-    mod the smaller product once they outgrow it, so a step multiplies each
-    window entry by a small integer when h has small coefficients.
+    With e = (p - 1)/2, G_n = (2h_0)^n n! g_n / h_0^e obeys G_0 = 1 and
+    G_n = sum_k ((p+1)k - 2n) h_k (2h_0)^(k-1) (n-1)(n-2)...(n-k+1) G_(n-k).
+    Mod p the factor is k - 2n, so one integer run A_n with k - 2n is G_n mod
+    p for every prime, and below p, where S_n = (2h_0)^n n! is a unit,
+    g_n = h_0^e A_n / S_n.  A runs modulo the product of the primes still to
+    be read.  The coefficients enter as least-absolute residues mod that
+    product, and again mod the smaller product once they outgrow it, so a step
+    multiplies each window entry by a small integer when h has small ones.
 
     Where h = H(x^d), d > 1, g_n is c_(n/d)(H^e) for d | n and 0 otherwise:
-    the run is one of H at n // d < p, and a read whose window holds no
-    multiple of d is not run.  A read whose prime is even, divides h(0) or
-    lies at n >= 2p raises ValueError.
+    the run is one of H at n // d, and a read whose window holds no multiple
+    of d is not run.  A read whose prime is even or divides h(0), or whose run
+    index (n, or n // d where h = H(x^d)) is p or more, raises ValueError.
     """
     h = list(h)
     while h and not h[-1]:
@@ -389,14 +380,13 @@ def half_power_windows(h, reads, width: int) -> list[tuple[int, ...]]:
     if not 0 <= width <= m:
         raise ValueError(f"need a window width from 0 to deg h = {m}, got {width}")
     h0, two_h0 = h[0], 2 * h[0]
+    d = math.gcd(*(k for k, c in enumerate(h) if k and c))
     reads = list(reads)
     for p, n in reads:
-        if p < 3 or p % 2 == 0 or h0 % p == 0 or n >= 2 * p:
-            raise ValueError(
-                f"need an odd prime p not dividing h(0) = {h0} and n < 2p, got read ({p}, {n})"
-            )
+        if p < 3 or p % 2 == 0 or h0 % p == 0 or n // d >= p:
+            raise ValueError(f"need an odd prime p not dividing h(0) = {h0} and a run index "
+                             f"below p, got read ({p}, {n})")
     windows = [(0,) * width] * len(reads)
-    d = math.gcd(*(k for k, c in enumerate(h) if k and c))
     if d > 1:  # h = H(x^d): a window's multiples of d lie in the window of H^e at n // d
         run = [r for r, (_, n) in enumerate(reads) if n >= 0 and n // d * d > n - width]
         span = -(-width // d)  # ceil(width / d) entries of H^e
@@ -406,21 +396,16 @@ def half_power_windows(h, reads, width: int) -> list[tuple[int, ...]]:
             windows[r] = tuple(0 if i % d else window[n // d - i // d]
                                for i in range(n, n - width, -1))
         return windows
-    depth: dict[int, int] = {}
     last: dict[int, int] = {}
     at: dict[int, list[int]] = {}
     for r, (p, n) in enumerate(reads):
         if n >= 0:
-            depth[p] = max(depth.get(p, 1), 2 if n >= p else 1)
             last[p] = max(last.get(p, 0), n)
             at.setdefault(n, []).append(r)
-    if not depth:
-        return windows
     leave: dict[int, list[int]] = {}
     for p, n in last.items():
         leave.setdefault(n, []).append(p)
-    modulus = math.prod(p**k for p, k in depth.items())
-    deep = sum(k == 2 for k in depth.values())  # primes still to read at depth 2
+    modulus = math.prod(last)
 
     def residues(terms: list[tuple[int, int]]) -> tuple[list[tuple[int, int]], int]:
         half = modulus // 2
@@ -433,53 +418,30 @@ def half_power_windows(h, reads, width: int) -> list[tuple[int, ...]]:
             terms.append((k, c * power))
         power = power * two_h0 % modulus
     terms, term_bits = residues(terms)
-    a_win, b_win, s = [0] * (m - 1) + [1], [0] * m, 1  # the last m values of A and B; S_n
-    for n in range(max(last.values()) + 1):
+    window, s = [0] * (m - 1) + [1], 1  # the last m values of A; S_n
+    for n in range(max(last.values(), default=-1) + 1):
         if n:
-            sa = sb = 0
+            total = 0
             fall, j = 1, 1  # fall = (n-1)(n-2)...(n-j+1)
-            for k, w in terms:  # entry -k of a window is the value at n - k
+            for k, w in terms:  # entry -k of the window is the value at n - k
                 while j < k:
                     fall *= n - j
                     j += 1
-                c = fall * w
-                a = a_win[-k]
-                t = (k - 2 * n) * c
-                sa += t * a
-                if deep:
-                    sb += t * b_win[-k] + k * c * a
-            a_win.append(sa % modulus)
-            del a_win[0]
-            if deep:
-                b_win.append(sb % modulus)
-                del b_win[0]
-            s = s * two_h0 * n % modulus
+                total += (k - 2 * n) * fall * w * window[-k]
+            window.append(total % modulus)
+            del window[0]
+            s = s * (two_h0 * n) % modulus
         for r in at.get(n, ()):
             p = reads[r][0]
-            power = p * p if n >= p else p
-            unit = s % power  # the unit part of S_n: S_n / p at depth 2
-            if n >= p:
-                if unit % p or not unit // p % p:
-                    raise AssertionError(f"S_{n} not divisible by {p} exactly once")
-                unit //= p
-            # h_0^e / (unit part of S_i) for i = n, n - 1, ..., stepping by S_i = 2 h_0 i S_(i-1)
-            factor = pow(h0, (p - 1) // 2, p) * pow(unit, -1, p) % p
-            window = []
-            for t in range(min(width, n + 1)):  # index i = n - t
-                i = n - t
-                if i >= p:
-                    g = (a_win[-1 - t] + p * b_win[-1 - t]) % power
-                    if g % p:
-                        raise AssertionError(f"G_{i} not divisible by {p}")
-                    g //= p
-                else:
-                    g = a_win[-1 - t] % p
-                window.append(g * factor % p)
-                factor = factor * two_h0 * (1 if i == p else i) % p
-            windows[r] = tuple(window) + (0,) * (width - len(window))
+            # h_0^e / S_i for i = n, n - 1, ..., stepping by S_i = 2 h_0 i S_(i-1)
+            factor = pow(h0, (p - 1) // 2, p) * pow(s, -1, p) % p
+            entries = []
+            for i in range(n, max(n - width, -1), -1):
+                entries.append(window[i - n - 1] * factor % p)
+                factor = factor * two_h0 * i % p
+            windows[r] = tuple(entries) + (0,) * (width - len(entries))
         for p in leave.get(n, ()):
-            modulus //= p ** depth[p]
-            deep -= depth[p] == 2
+            modulus //= p
             if term_bits > modulus.bit_length() + 1:
                 terms, term_bits = residues(terms)
     return windows

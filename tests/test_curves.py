@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -435,14 +436,61 @@ def test_cartier_rows_of_sparse_branches_agree_with_the_kernel():
             assert rows == _cartier_manin_rows(f, p), (f, p)
 
 
-def test_cartier_rows_read_deep_rows_per_prime():
-    # genus 4 from both runs; genus 5 and 6 have rows deeper than 2p at both ends
+def _translate(f, c):
+    """f(x + c), lowest degree first."""
+    return [sum(a * comb(n, k) * c ** (n - k) for n, a in enumerate(f) if n >= k)
+            for k in range(len(f))]
+
+
+def test_row_one_of_a_translate_is_the_lucas_transform_of_the_rows():
+    # c_(p-j)(f(x + c)^e) = sum_(j'<=j) (-1)^(j-j') C(j-1, j'-1) c^(j-j')
+    # sum_i c^(i-1) M_ij' mod p, both sides from the per-prime kernel
+    rng = random.Random(31)
+    for degree in range(5, 15):
+        f = [rng.randrange(-9, 10) for _ in range(degree)] + [rng.choice((1, 2, -3))]
+        g = (degree - 1) // 2
+        for p in _squarefree_primes(f, 199):
+            rows = _cartier_manin_rows(f, p)
+            for c in (1, 2, 3, -1):
+                columns = [sum(c ** (i - 1) * rows[i - 1][j - 1] for i in range(1, g + 1))
+                           for j in range(1, g + 1)]
+                expected = [
+                    sum((-1) ** (j - k) * comb(j - 1, k - 1) * c ** (j - k) * columns[k - 1]
+                        for k in range(1, j + 1)) % p
+                    for j in range(1, g + 1)
+                ]
+                assert _cartier_manin_rows(_translate(f, c), p)[0] == expected, (f, p, c)
+
+
+def test_cartier_rows_read_deep_rows_per_prime(monkeypatch):
+    # genus 4 to 9: the middle rows come from translates f(x + c), and the
+    # kernel runs only at the primes that divide h(0) or a translate's f(c),
+    # or do not exceed the largest c
+    kernel = count_calls(monkeypatch, "ffpoly", "poly_pow_coeff", key=lambda f, *_: f.field.p)
     rng = random.Random(29)
-    for degree in (9, 10, 11, 12, 13, 14):
-        f = tuple(rng.randrange(-9, 10) for _ in range(degree)) + (rng.choice((1, 3, -2)),)
+    branches = [tuple(rng.randrange(-9, 10) for _ in range(degree)) + (rng.choice((1, 3, -2)),)
+                for degree in range(9, 21)]
+    for degree in (11, 16):  # x (x - 2) q(x): v = 1, and c = 2 is skipped
+        f = [rng.randrange(-9, 10) for _ in range(degree - 2)] + [1]
+        f = [0] + [a - 2 * b for a, b in zip([0] + f, f + [0])]
+        branches.append(tuple(f))
+    fell_back = 0
+    for f in branches:
+        degree = len(f) - 1
         primes = _squarefree_primes(f, 300)
-        for p, rows in zip(primes, _cartier_rows(f, primes)):
+        h0 = next(c for c in f if c)
+        shifts = [c for c in range(1, 2 * degree) if _translate(f, c)[0]][: (degree - 1) // 2 - 2]
+        values = [_translate(f, c)[0] for c in shifts]
+        expected = [p for p in primes
+                    if h0 % p == 0 or p <= shifts[-1] or any(v % p == 0 for v in values)]
+        kernel.clear()
+        matrices = _cartier_rows(f, primes)
+        assert dict(kernel) == dict.fromkeys(expected, 1), f
+        for p, rows in zip(primes, matrices):
             assert rows == _cartier_manin_rows(f, p), (f, p)
+        assert len(expected) < len(primes) / 2
+        fell_back += len(expected)
+    assert fell_back > 12
 
 
 # branches with repeated factors mod small primes

@@ -1,5 +1,6 @@
 """Field, polynomial and matrix arithmetic checks."""
 
+import math
 import random
 from time import perf_counter
 
@@ -223,24 +224,27 @@ def _kernel_window(h, p, n, width=None):
 
 @pytest.mark.parametrize("h", WINDOW_POLYS)
 def test_half_power_windows_match_the_kernel_at_depth_one_and_two(h):
-    # every prime below 600; about half of them read below p alone, so the
-    # primes that B runs modulo are a strict part of those A runs modulo
+    # every prime below 600 reads at depth one (n < p), in any order and with
+    # more than one read per prime; a read whose run index (n, or n // d for
+    # h = H(x^d)) is p or more is refused
     rng = random.Random(len(h))
     m = len(h) - 1
+    d = math.gcd(*(k for k, c in enumerate(h) if k and c))
     reads = []
     for p in (q for q in range(5, 600) if _is_prime(q) and h[0] % q):
         ns = {-1, 0, 1, m - 2, (p - 1) // 2, (p + 1) // 2, p - 1, rng.randrange(p)}
-        if rng.random() < 0.5:
-            ns |= {p, p + 1, p + m - 2, 2 * p - 1, rng.randrange(p, 2 * p)}
-        reads += [(p, n) for n in sorted(ns) if -1 <= n < 2 * p]
+        reads += [(p, n) for n in sorted(ns) if -1 <= n < p]
     rng.shuffle(reads)  # the reads may come in any order
-    assert any(n >= p for p, n in reads) and any(n < 0 for p, n in reads)
-    assert any(all(q != p or n < p for q, n in reads) for p, _ in reads)
+    assert any(n < 0 for p, n in reads) and any(n == p - 1 for p, n in reads)
     expected = [_kernel_window(h, p, n) for p, n in reads]
     for width in range(m + 1):
         got = ffpoly.half_power_windows(h, reads, width)
         for (p, n), window, full in zip(reads, got, expected):
             assert window == full[:width], (h, width, p, n)
+    for p in (11, 13, 599):  # none divides h(0)
+        for n in (d * p, d * p + 1, 2 * d * p - 1):
+            with pytest.raises(ValueError, match=f"run index below p, got read \\({p}, {n}\\)"):
+                ffpoly.half_power_windows(h, reads[:3] + [(p, n)], m)
 
 
 def test_half_power_windows_read_zeros_below_the_start():
@@ -254,13 +258,14 @@ def test_half_power_windows_read_zeros_below_the_start():
 
 def test_half_power_windows_of_h_of_x_to_the_d_read_the_run_of_h():
     # h = H(x^d): a window holding no multiple of d reads zeros, and its prime
-    # enters no run; the others agree with the kernel at depth 1 and 2
+    # enters no run; the others agree with the kernel wherever the run of H
+    # reads below p, that is up to n = dp - 1
     for d in (2, 3, 4):
         H = (3, -2, 5)
         h = tuple(H[i // d] if i % d == 0 else 0 for i in range(2 * d + 1))
         for width in range(len(h)):
             reads = [(p, n) for p in (11, 13, 101) for n in (-1, 0, 1, d - 1, d + 1, p - 1, p + 1,
-                                                         2 * p - 2, 2 * p - 1)]
+                                                         2 * p - 2, 2 * p - 1, d * p - 1)]
             for (p, n), window in zip(reads, ffpoly.half_power_windows(h, reads, width)):
                 assert window == _kernel_window(h, p, n, width), (d, width, p, n)
                 if width and n >= 0 and n // d * d <= n - width:  # in the zero band
@@ -271,11 +276,14 @@ def test_half_power_windows_refuse_bad_reads():
     for h, read in (
         ((2, 3, 1), (4, 1)),  # even
         ((10, 3, 1), (5, 1)),  # p divides h(0)
-        ((2, 3, 1), (7, 14)),  # n >= 2p
+        ((2, 3, 1), (7, 7)),  # n >= p
+        ((2, 3, 1), (7, 14)),
         ((2, 3, 1), (2, 1)),
         ((2, 0, 1), (4, 1)),  # even, in the zero band of h = H(x^2): refused all the same
+        ((2, 0, 1), (7, 14)),  # n // 2 >= p for h = H(x^2)
+        ((2, 0, 1), (7, 15)),  # the same in the zero band
     ):
-        with pytest.raises(ValueError, match="odd prime p not dividing h"):
+        with pytest.raises(ValueError, match="odd prime p not dividing h.* run index below p"):
             ffpoly.half_power_windows(h, [(11, 3), read], 1)
     for h in ((5,), (0, 1, 1), (), (5, 0, 0)):
         with pytest.raises(ValueError, match="nonconstant"):

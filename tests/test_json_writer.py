@@ -21,12 +21,15 @@ VALUES = st.recursive(
                             st.dictionaries(TEXT, inner, max_size=4)),
     max_leaves=20,
 )
+SHARED = {"type": "III", "multiplicity": 9}
 
 
 @settings(max_examples=150, deadline=None)
 @given(VALUES)
 @example([])
 @example({"": {}, "a": [[], {}], "b": [[]]})  # empty containers are written inline
+# one object held many times, in one list and at several depths
+@example([SHARED, [SHARED, SHARED], SHARED, {"a": [SHARED]}, [[SHARED]] * 2, [SHARED] * 3])
 def test_the_writer_gives_the_bytes_of_the_indented_sorted_dump(value):
     assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
 
