@@ -285,10 +285,10 @@ def _cover_genus(spec: FibrationSpec, deg_l: tuple[int, ...] | list[int], h: int
     return 1 + spec.rotation.order // h * (spec.genus_base - 1) - sum(trivial_on_h)
 
 
-# (h, name) of the intermediate covers D'/H whose genus must be nonnegative
+# (h, name, tower slot or None) of the intermediate covers D'/H whose genus must be nonnegative
 _INTERMEDIATE_COVERS = {
-    Rotation.C4: ((2, "double"),),
-    Rotation.C6: ((2, "triple"), (3, "double")),
+    Rotation.C4: ((2, "double", "Dpp"),),
+    Rotation.C6: ((2, "triple", "Dppp"), (3, "double", None)),
 }
 
 
@@ -332,7 +332,7 @@ def validate_spec(spec: FibrationSpec) -> list[str]:
                 f"Riemann-Hurwitz gives genus {g_prime} < 0 for D': no such cover exists"
             )
         else:
-            for h, name in _INTERMEDIATE_COVERS.get(spec.rotation, ()):
+            for h, name, _ in _INTERMEDIATE_COVERS.get(spec.rotation, ()):
                 if _cover_genus(spec, deg_l, h) < 0:
                     violations.append(f"intermediate {name} cover would have negative genus")
 
@@ -392,12 +392,9 @@ def genus_cover_tower(spec: FibrationSpec) -> tuple[int, int | None, int | None]
     (rotation order 6); absent entries are None.
     """
     deg_l = line_bundle_degrees(spec)
-    g_prime = _cover_genus(spec, deg_l, 1)
-    if spec.rotation is Rotation.C4:
-        return g_prime, _cover_genus(spec, deg_l, 2), None
-    if spec.rotation is Rotation.C6:
-        return g_prime, None, _cover_genus(spec, deg_l, 2)
-    return g_prime, None, None
+    genera = {slot: _cover_genus(spec, deg_l, h)
+              for h, _, slot in _INTERMEDIATE_COVERS.get(spec.rotation, ()) if slot}
+    return _cover_genus(spec, deg_l, 1), genera.get("Dpp"), genera.get("Dppp")
 
 
 def line_bundle_degrees(spec: FibrationSpec) -> tuple[int, ...]:

@@ -8,12 +8,13 @@ to ordinarity facts about the common fiber E, the base C and the cover tower
 D', D'', D''' -- which is what ``decide`` evaluates, clause by clause:
 
 * trivial rotation: E and C ordinary;
-* rotation order 2: E and D' ordinary, unless X is rational (then h^1 =
-  h^2 = 0 and Frobenius is bijective on zero spaces, whatever E does);
-* rotation order 3: the verdict is joint for the pair (X, X'): both are
-  ordinary iff E and D' are (unless both surfaces are rational);
-* rotation orders 4 and 6: joint verdict again; E and C ordinary plus the
-  genus drop to the intermediate cover matching the p-rank drop.
+* rotation order 2: E ordinary, then D' ordinary, unless X is rational (then
+  h^1 = h^2 = 0 and Frobenius is bijective on zero spaces, whatever E does);
+* rotation order 3: the verdict is joint for the pair (X, X'): E ordinary,
+  then D' ordinary (unless both surfaces are rational);
+* rotation order 4: joint verdict again; E and C ordinary, then the genus
+  drop from D' to D'' equal to the p-rank drop;
+* rotation order 6: as order 4, with the drop from D' to D'''.
 
 When the fibration is generically ordinary (E ordinary), the cokernel of the
 relative Frobenius is a divisor on the base supported under the singular
@@ -151,47 +152,31 @@ def build_report(spec: FibrationSpec, overrides: dict | None = None) -> CurveOrd
 
     Genera always come from the cover tower.  p-ranks are computed from the
     explicit models when present (the fiber model via its Hasse invariant,
-    the order-2 double cover via its Cartier matrix); genus-0 curves in the
-    tower are trivially ordinary.  Caller-supplied overrides fill the gaps,
-    but a supplied value that contradicts a computed one is a hard error, and
-    so is an ordinary E that Deuring's congruence rules out for the rotation.
+    the order-2 double cover via its Cartier matrix); a curve of genus 0 is
+    ordinary.  Under the trivial rotation D' is C itself, listed only when
+    supplied.  Caller-supplied overrides fill the gaps, but a supplied value
+    that contradicts a computed one is a hard error, and so is an ordinary E
+    that Deuring's congruence rules out for the rotation.
     """
     overrides = dict(overrides or {})
-    g_prime, g_double, g_triple = spec.invariants.tower
-    entries: dict[str, CurveReportEntry | None] = {n: None for n in CURVE_NAMES}
+    genera = dict(zip(CURVE_NAMES, (1, spec.genus_base, *spec.invariants.tower)))
+    entries = {name: CurveReportEntry(0, 0, None, COMPUTED) if genus == 0 else None
+               for name, genus in genera.items()}
+    if spec.rotation is Rotation.TRIVIAL:
+        entries["Dp"] = None
 
     if spec.e_model is not None:
         rank = 1 if hasse_invariant(spec.e_model) != 0 else 0
         entries["E"] = CurveReportEntry(1, rank, None, COMPUTED)
 
-    if spec.genus_base == 0:
-        entries["C"] = CurveReportEntry(0, 0, None, COMPUTED)
-
-    if spec.rotation is not Rotation.TRIVIAL:
-        if g_prime == 0:
-            entries["Dp"] = CurveReportEntry(0, 0, None, COMPUTED)
-        elif spec.rotation is Rotation.C2 and spec.branch_poly is not None:
-            model = spec.double_cover
-            if model.genus != g_prime:
-                raise AssertionError(
-                    f"branch polynomial genus {model.genus} != tower genus {g_prime}"
-                )
-            entries["Dp"] = CurveReportEntry(
-                g_prime, p_rank_hyperelliptic(model), None, COMPUTED
+    if entries["Dp"] is None and spec.branch_poly is not None:  # the order-2 chain
+        model = spec.double_cover
+        if model.genus != genera["Dp"]:
+            raise AssertionError(
+                f"branch polynomial genus {model.genus} != tower genus {genera['Dp']}"
             )
+        entries["Dp"] = CurveReportEntry(model.genus, p_rank_hyperelliptic(model), None, COMPUTED)
 
-    if g_double == 0:
-        entries["Dpp"] = CurveReportEntry(0, 0, None, COMPUTED)
-    if g_triple == 0:
-        entries["Dppp"] = CurveReportEntry(0, 0, None, COMPUTED)
-
-    genera = {
-        "E": 1,
-        "C": spec.genus_base,
-        "Dp": g_prime,
-        "Dpp": g_double,
-        "Dppp": g_triple,
-    }
     for name, value in overrides.items():
         if name not in CURVE_NAMES:
             raise ValueError(f"unknown curve name {name!r}; expected one of {CURVE_NAMES}")
@@ -227,7 +212,7 @@ def build_report(spec: FibrationSpec, overrides: dict | None = None) -> CurveOrd
     return CurveOrdinarityReport(**entries)
 
 
-def _require(report: CurveOrdinarityReport, names: list[str], want_rank: bool = False):
+def _require(report: CurveOrdinarityReport, names: tuple[str, ...], want_rank: bool = False):
     missing = []
     for name in names:
         entry = getattr(report, name)
@@ -239,89 +224,70 @@ def _require(report: CurveOrdinarityReport, names: list[str], want_rank: bool = 
         raise MissingReportDataError(missing)
 
 
+# rotation -> (scope, clause, the curves that must be ordinary first, the tower
+# curves the verdict reads next: one that must be ordinary, or two whose genus
+# drop must equal their p-rank drop)
+_CLAUSES = {
+    Rotation.TRIVIAL: (SCOPE_SINGLE, CLAUSE_TRIVIAL, ("E", "C"), ()),
+    Rotation.C2: (SCOPE_SINGLE, CLAUSE_ORDER_2, ("E",), ("Dp",)),
+    Rotation.C3: (SCOPE_PAIR, CLAUSE_ORDER_3, ("E",), ("Dp",)),
+    Rotation.C4: (SCOPE_PAIR, CLAUSE_ORDER_4, ("E", "C"), ("Dp", "Dpp")),
+    Rotation.C6: (SCOPE_PAIR, CLAUSE_ORDER_6, ("E", "C"), ("Dp", "Dppp")),
+}
+
+
 def decide(spec: FibrationSpec, report: CurveOrdinarityReport) -> OrdinarityVerdict:
     """Evaluate the ordinarity criterion for the spec's rotation class.
 
-    For rotation orders 3, 4 and 6 the verdict is joint for the pair of
-    surfaces attached to the two conjugate actions on the cover (scope
-    ``pair_X_Xprime``); for order 6 it also asserts ordinarity of the
-    intermediate double cover.  Requirements are evaluated lazily: a clause
-    that already fails on its E or C conjunct does not demand tower p-ranks.
+    The clause is the rotation's row of ``_CLAUSES``.  For rotation orders 3,
+    4 and 6 the verdict is joint for the pair of surfaces attached to the two
+    conjugate actions on the cover (scope ``pair_X_Xprime``).  Requirements
+    are evaluated lazily: a clause that already fails on its E or C conjunct
+    does not demand tower p-ranks.  A rational X (order 2), or a rational pair
+    (orders 3, 4 and 6), is ordinary before any curve is read.
     """
     inv = spec.invariants
-    rot = spec.rotation
-    reasons: list[str] = []
+    scope, clause, gate, tower = _CLAUSES[spec.rotation]
+    if inv.rational and scope == SCOPE_SINGLE:
+        return OrdinarityVerdict(scope, True, CLAUSE_RATIONAL, (
+            "X is rational (base genus 0, d = 1): h^1 = h^2 = 0, so Frobenius "
+            "is bijective on both cohomology spaces regardless of E",
+        ))
+    if inv.rational and scope == SCOPE_PAIR and -inv.deg_l[0] == 1:  # d' = 1 too
+        return OrdinarityVerdict(scope, True, CLAUSE_H_VANISHING, (
+            "both X and the conjugate surface X' are rational (base genus 0, "
+            "d = d' = 1): all four cohomology spaces vanish",
+        ))
 
     def entry_reason(name: str) -> str:
         entry = getattr(report, name)
         rank = f", p-rank {entry.p_rank}" if entry.p_rank is not None else ""
         return f"{name}: genus {entry.genus}{rank}, ordinary={entry.ordinary}"
 
-    if rot is Rotation.TRIVIAL:
-        _require(report, ["E", "C"])
-        ordinary = bool(report.E.ordinary and report.C.ordinary)
-        reasons += [entry_reason("E"), entry_reason("C")]
-        return OrdinarityVerdict(SCOPE_SINGLE, ordinary, CLAUSE_TRIVIAL, tuple(reasons))
-
-    if rot is Rotation.C2:
-        if inv.rational:
-            reasons.append(
-                "X is rational (base genus 0, d = 1): h^1 = h^2 = 0, so Frobenius "
-                "is bijective on both cohomology spaces regardless of E"
-            )
-            return OrdinarityVerdict(SCOPE_SINGLE, True, CLAUSE_RATIONAL, tuple(reasons))
-        _require(report, ["E"])
-        if not report.E.ordinary:
-            reasons.append(entry_reason("E"))
-            if inv.h2 > 0:
-                reasons.append(
-                    f"h^2 = {inv.h2} > 0 with a supersingular fiber: the relative "
-                    "Frobenius kills the top cohomology"
-                )
-            return OrdinarityVerdict(SCOPE_SINGLE, False, CLAUSE_ORDER_2, tuple(reasons))
-        _require(report, ["Dp"])
-        reasons += [entry_reason("E"), entry_reason("Dp")]
-        return OrdinarityVerdict(
-            SCOPE_SINGLE, bool(report.Dp.ordinary), CLAUSE_ORDER_2, tuple(reasons)
-        )
-
-    # pair clauses: X together with the conjugate surface X'
-    d_conjugate = -inv.deg_l[0]
-    if inv.rational and d_conjugate == 1:
+    _require(report, gate)
+    reasons = [entry_reason(name) for name in gate]
+    ordinary = all([getattr(report, name).ordinary for name in gate])
+    if not ordinary and spec.rotation is Rotation.C2 and inv.h2 > 0:
         reasons.append(
-            "both X and the conjugate surface X' are rational (base genus 0, "
-            "d = d' = 1): all four cohomology spaces vanish"
+            f"h^2 = {inv.h2} > 0 with a supersingular fiber: the relative "
+            "Frobenius kills the top cohomology"
         )
-        return OrdinarityVerdict(SCOPE_PAIR, True, CLAUSE_H_VANISHING, tuple(reasons))
-
-    if rot is Rotation.C3:
-        _require(report, ["E"])
-        if not report.E.ordinary:
-            reasons.append(entry_reason("E"))
-            return OrdinarityVerdict(SCOPE_PAIR, False, CLAUSE_ORDER_3, tuple(reasons))
-        _require(report, ["Dp"])
-        reasons += [entry_reason("E"), entry_reason("Dp")]
-        return OrdinarityVerdict(
-            SCOPE_PAIR, bool(report.Dp.ordinary), CLAUSE_ORDER_3, tuple(reasons)
+    if not ordinary or not tower:
+        return OrdinarityVerdict(scope, ordinary, clause, tuple(reasons))
+    _require(report, tower, want_rank=len(tower) == 2)
+    reasons += [entry_reason(name) for name in tower]
+    if len(tower) == 1:
+        ordinary = bool(getattr(report, tower[0]).ordinary)
+    else:
+        top, deep = (getattr(report, name) for name in tower)
+        genus_drop = top.genus - deep.genus
+        rank_drop = top.p_rank - deep.p_rank
+        ordinary = genus_drop == rank_drop
+        reasons.append(
+            f"genus drop g({tower[0]}) - g({tower[1]}) = {genus_drop}, "
+            f"p-rank drop = {rank_drop}: {'equal' if ordinary else 'different'}"
         )
-
-    clause = CLAUSE_ORDER_4 if rot is Rotation.C4 else CLAUSE_ORDER_6
-    deep_name = "Dpp" if rot is Rotation.C4 else "Dppp"
-    _require(report, ["E", "C"])
-    reasons += [entry_reason("E"), entry_reason("C")]
-    if not (report.E.ordinary and report.C.ordinary):
-        return OrdinarityVerdict(SCOPE_PAIR, False, clause, tuple(reasons))
-    _require(report, ["Dp", deep_name], want_rank=True)
-    deep = getattr(report, deep_name)
-    genus_drop = report.Dp.genus - deep.genus
-    rank_drop = report.Dp.p_rank - deep.p_rank
-    reasons.append(entry_reason("Dp"))
-    reasons.append(entry_reason(deep_name))
-    reasons.append(
-        f"genus drop g(Dp) - g({deep_name}) = {genus_drop}, "
-        f"p-rank drop = {rank_drop}: {'equal' if genus_drop == rank_drop else 'different'}"
-    )
-    return OrdinarityVerdict(SCOPE_PAIR, genus_drop == rank_drop, clause, tuple(reasons))
+    return OrdinarityVerdict(scope, ordinary, clause, tuple(reasons))
 
 
 def check_supersingular_corollary(

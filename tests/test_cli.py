@@ -589,8 +589,8 @@ def test_scan_tsv_bytes_are_pinned(tmp_path, capsys, doc, pmax, digest):
 
 
 # SHA-256 of the exit code, stdout and stderr of `invariants` then `decide`, each
-# with --format text then json, on every golden case, a C4 divisor listing and a
-# law-breaking document
+# with --format text then json, on every golden case, a C4 divisor listing, a
+# law-breaking document and each clause outcome of decide that no golden case reaches
 PINNED_REPORTS = {
     "fiber-euler-table-0":
         "51fac1271770beeabb2e03e145689f8df27463c2c33c000f773eeb50eaef986d",
@@ -622,6 +622,32 @@ PINNED_REPORTS = {
         "7a235d2617a89eeb6d7fdf7edc913d8628d0e5bbf5b85d14b1098adeb9601683",
     "law-breaking":
         "9bd9cf98429e3c0b199650116e916694225a3931e6050106c55658b0283159e8",
+    "c3-ordinary":
+        "a43b0527dea9cc6e7191d9fefbf17bde1b39a2f59d5dbf936080f7743e79073e",
+    "c3-not-ordinary":
+        "dedb612326bba62d2c34bac051b01ec8da74a6316776d49d934cafb128162edf",
+    "c3-supersingular-e":
+        "8e367ac635c350f05b86058ade8b91521667008554a7d32e78a7643d9d6f7ac0",
+    "c6-equal-drop":
+        "debc80b2179d306e1597c0c6bfc53367767a7e1f0ebdbcc735ef2c6f0763a315",
+    "c6-unequal-drop":
+        "97ab2ba296b9bee6124a8651d5086c3793ebbb315950342587d32fd06de3a040",
+    "pair-h-vanishing":
+        "d0dd489084866400a168771df4a1e72ab1725fa1d47c22925d51440c928bf7f2",
+    "c2-supersingular-e":
+        "c616cbec3639e4fbbd515552b2e95ff4ca849bc966d9413063efe32d42230108",
+    "c4-fails-on-e":
+        "21a0557b90b6907b306578211234693f35f5675674a540ad03779615ba8c9af6",
+    "c4-fails-on-c":
+        "1a29a0abdf06feabcf799c6c7ad75c23080fd298f75754a9c6437ee99cb589de",
+    "c4-missing-rank":
+        "9d482275ef88c8bc9079e093f475a62f872835ff157e19dd5ce4a1d9163f1bf3",
+    "c6-fails-on-e":
+        "cf934c5c9219c6627a79d507e700d4f8afed016e0e4fa776088d522c60ec71e1",
+    "c6-fails-on-c":
+        "70de1f922876494b8c1ecb3c9f4972bc8d880a835fee93930770d148432582f2",
+    "trivial-set-dp":
+        "3de5f07bd312ab03c44fec9d1904b435762c7b55b132d618dcadbd3929682ec2",
 }
 REPORT_DOCUMENTS = [
     (f"{name}-{index}", document, overrides)
@@ -632,6 +658,34 @@ REPORT_DOCUMENTS = [
      {"p": 13, "R": "C4", "ram": {"a4p": 4, "a4m": 2, "a2": 3}, "E": {"a": 1, "b": 0}},
      {"Dp": "1", "Dpp": "1"}),
     ("law-breaking", {"p": 5, "R": "C2", "ram": {"a2": 3}}, {}),
+    # C3: D' decides once E is ordinary; E at 5 (j = 0) is supersingular
+    ("c3-ordinary", {"p": 7, "R": "C3", "ram": {"a3p": 2, "a3m": 2}}, {"E": "ordinary", "Dp": "2"}),
+    ("c3-not-ordinary",
+     {"p": 7, "R": "C3", "ram": {"a3p": 2, "a3m": 2}}, {"E": "ordinary", "Dp": "1"}),
+    ("c3-supersingular-e",
+     {"p": 5, "R": "C3", "ram": {"a3p": 2, "a3m": 2}, "E": {"a": 0, "b": 1}}, {}),
+    # C6 over an elliptic base: genus drop g(D') - g(D''') = 6 - 3, p-rank drop 4 - 1 or 5 - 1
+    ("c6-equal-drop", {"p": 7, "R": "C6", "genus_base": 1, "ram": {"a6p": 1, "a6m": 1}},
+     {"E": "ordinary", "C": "ordinary", "Dp": "4", "Dppp": "1"}),
+    ("c6-unequal-drop", {"p": 7, "R": "C6", "genus_base": 1, "ram": {"a6p": 1, "a6m": 1}},
+     {"E": "ordinary", "C": "ordinary", "Dp": "5", "Dppp": "1"}),
+    ("pair-h-vanishing", {"p": 7, "R": "C3", "ram": {"a3p": 1, "a3m": 1}}, {}),
+    # a K3-type C2 surface (h^2 = 1) with E supersingular at 5: the h^2 reason is added
+    ("c2-supersingular-e", {"p": 5, "R": "C2", "ram": {"a2": 4}, "E": {"a": 0, "b": 1}}, {}),
+    # C4 and C6 fail on E or C before the tower is read; with only Dp's flag, decide asks for more
+    ("c4-fails-on-e",
+     {"p": 7, "R": "C4", "ram": {"a4p": 2, "a2": 1}, "E": {"a": 1, "b": 0}}, {}),
+    ("c4-fails-on-c", {"p": 13, "R": "C4", "genus_base": 1, "ram": {"a4p": 1, "a4m": 1}},
+     {"E": "ordinary", "C": "nonordinary"}),
+    ("c4-missing-rank", {"p": 13, "R": "C4", "genus_base": 1, "ram": {"a4p": 1, "a4m": 1}},
+     {"E": "ordinary", "C": "ordinary", "Dp": "ordinary"}),
+    ("c6-fails-on-e",
+     {"p": 5, "R": "C6", "ram": {"a6p": 1, "a6m": 1, "a2": 2}, "E": {"a": 0, "b": 1}}, {}),
+    ("c6-fails-on-c", {"p": 7, "R": "C6", "genus_base": 1, "ram": {"a6p": 1, "a6m": 1}},
+     {"E": "ordinary", "C": "nonordinary"}),
+    # under the trivial rotation D' is C: --set Dp is accepted with genus g_C and listed
+    ("trivial-set-dp", {"p": 5, "R": "trivial", "genus_base": 2},
+     {"E": "ordinary", "C": "ordinary", "Dp": "2"}),
 ]
 
 

@@ -66,14 +66,47 @@ def test_build_report_override_mismatch_is_fatal():
     assert report.E.provenance == "computed-from-model"
 
 
+# one spec per rotation whose every tower curve has positive genus
+SPEC_PER_ROTATION = {
+    Rotation.TRIVIAL: dict(p=5, genus_base=2),
+    Rotation.C2: dict(p=7, a2=4),
+    Rotation.C3: dict(p=7, a3p=2, a3m=2),
+    Rotation.C4: dict(p=13, genus_base=1, a4p=1, a4m=1),
+    Rotation.C6: dict(p=7, genus_base=1, a6p=1, a6m=1),
+}
+
+
 def test_build_report_rejects_unknown_names_and_values():
     spec = make_spec(Rotation.C2, p=5, a2=2)
     with pytest.raises(ValueError, match="unknown curve"):
         build_report(spec, {"Q": "ordinary"})
     with pytest.raises(ValueError, match="cannot interpret"):
         build_report(spec, {"E": "maybe"})
-    with pytest.raises(ValueError, match="does not occur"):
-        build_report(spec, {"Dppp": 1})  # no triple cover in an order-2 chain
+    # D' occurs under every rotation (under the trivial one it is C itself), D''
+    # under C4 only and D''' under C6 only; any other tower name does not occur
+    for rotation, counts in SPEC_PER_ROTATION.items():
+        spec = make_spec(rotation, **counts)
+        g_prime, g_double, g_triple = spec.invariants.tower
+        accepted = {"Dp": g_prime}
+        if rotation is Rotation.TRIVIAL:
+            assert g_prime == spec.genus_base
+        if rotation is Rotation.C4:
+            accepted["Dpp"] = g_double
+        if rotation is Rotation.C6:
+            accepted["Dppp"] = g_triple
+        for name in ("Dp", "Dpp", "Dppp"):
+            if name in accepted:
+                entry = getattr(build_report(spec, {name: "ordinary"}), name)
+                assert entry.genus == accepted[name] > 0, (rotation, name)
+                assert entry.ordinary and entry.provenance == "supplied"
+            else:
+                with pytest.raises(ValueError, match=f"curve {name} does not occur"):
+                    build_report(spec, {name: "ordinary"})
+    # the trivial rotation lists D' only when it is supplied, even at g_C = 0
+    spec = make_spec(Rotation.TRIVIAL, p=5)
+    report = build_report(spec)
+    assert report.C.ordinary and report.Dp is None
+    assert build_report(spec, {"Dp": "ordinary"}).Dp.genus == 0
 
 
 def test_decide_trivial_rotation_product_rule():
@@ -129,14 +162,28 @@ def test_decide_kummer_style_non_ordinary():
 
 
 def test_decide_missing_data_listed_by_name():
-    spec = make_spec(Rotation.C2, p=7, a2=4)
-    with pytest.raises(MissingReportDataError) as err:
-        decide(spec, build_report(spec))
-    assert err.value.missing == ["E"]
-    report = build_report(spec, {"E": "ordinary"})
-    with pytest.raises(MissingReportDataError) as err:
-        decide(spec, report)
-    assert err.value.missing == ["Dp"]
+    # first the gate (E, and C unless the clause skips it), then the tower: the
+    # drop clauses of C4 and C6 need exact p-ranks, so a flag alone is missing
+    for rotation, counts in SPEC_PER_ROTATION.items():
+        spec = make_spec(rotation, **counts)
+        gate = ["E"] if rotation in (Rotation.C2, Rotation.C3) else ["E", "C"]
+        with pytest.raises(MissingReportDataError) as err:
+            decide(spec, build_report(spec))
+        assert err.value.missing == gate, rotation
+        ordinary = dict.fromkeys(gate, "ordinary")
+        # a gate that fails decides without the tower
+        assert not decide(spec, build_report(spec, {**ordinary, "E": "nonordinary"})).ordinary
+        if rotation is Rotation.TRIVIAL:
+            assert decide(spec, build_report(spec, ordinary)).ordinary
+            continue
+        deep = {Rotation.C4: ["Dpp"], Rotation.C6: ["Dppp"]}.get(rotation, [])
+        with pytest.raises(MissingReportDataError) as err:
+            decide(spec, build_report(spec, ordinary))
+        assert err.value.missing == ["Dp", *deep], rotation
+        if deep:
+            with pytest.raises(MissingReportDataError) as err:
+                decide(spec, build_report(spec, {**ordinary, "Dp": "ordinary", deep[0]: 1}))
+            assert err.value.missing == ["Dp (needs an exact p-rank)"], rotation
 
 
 def test_decide_pair_h_vanishing():
