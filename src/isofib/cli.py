@@ -13,8 +13,9 @@ Spec documents are JSON with exact integers::
     }
 
 Subcommands: ``invariants``, ``decide``, ``verify-examples``, ``scan``.  Each
-command builds one payload and renders it as text or as JSON (``_json_text``, faster
-than the indented ``json.dumps``); a scan writes each row from one template per state.
+command builds one payload and renders it as text or as JSON (``_json_pieces``, one
+flat list of pieces, faster than the indented ``json.dumps``); a scan writes each row
+from one template per state.
 Exit codes: 0 success, 1 validation failure, 2 unreadable or unparsable input,
 3 oracle-bound refusal.
 """
@@ -24,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from itertools import compress
 from types import SimpleNamespace
 
 from .curves import (
@@ -251,25 +253,66 @@ _SCALAR_TEXT = {str: json.encoder.encode_basestring_ascii, int: int.__repr__,
                 type(None): {None: "null"}.__getitem__}
 
 
-def _json_text(value, indent: str = "\n") -> str:
-    """The text of ``json.dumps(value, indent=2, sort_keys=True)`` for dicts with
-    str keys, lists, str, int, bool and None; TypeError on anything else.
-    ``indent`` is the newline and indentation the value's own lines start with."""
+_JSON_CHUNK = 4096  # pieces _print_json joins per write
+
+
+def _json_pieces(value, indent: str, out: list[str]) -> None:
+    """Append to ``out`` the pieces of the text of ``json.dumps(value, indent=2,
+    sort_keys=True)``, for dicts with str keys, lists, str, int, bool and None;
+    TypeError on anything else.  ``indent`` is the newline and indentation the
+    value's own lines start with.  A list's items that are containers enter as
+    one piece each, written once per object the list holds."""
     scalar = _SCALAR_TEXT.get(type(value))
     if scalar is not None:
-        return scalar(value)
+        out.append(scalar(value))
+        return
     inner, get = indent + "  ", _SCALAR_TEXT.get
     if type(value) is list:
+        if not value:
+            out.append("[]")
+            return
         seen: dict[int, str] = {}  # an object the list holds many times is written once
-        items = [text(v) if (text := get(type(v))) else seen.get(id(v)) or
-                 seen.setdefault(id(v), _json_text(v, inner)) for v in value]
-        return f"[{inner}" + f",{inner}".join(items) + f"{indent}]" if items else "[]"
+        pieces = [f",{inner}"] * (2 * len(value) + 1)  # separators, with the items between
+        pieces[0], pieces[-1] = f"[{inner}", f"{indent}]"
+        pieces[1::2] = [text(v) if (text := get(type(v))) else seen.get(id(v)) or
+                        seen.setdefault(id(v), _json_text(v, inner)) for v in value]
+        out += pieces
+        return
     if type(value) is not dict:
         raise TypeError(f"{type(value).__name__} is not written as JSON")
+    if not value:
+        out.append("{}")
+        return
     quote = json.encoder.encode_basestring_ascii  # raises TypeError on a key that is not str
-    items = [quote(k) + ": " + (text(v) if (text := get(type(v))) else _json_text(v, inner))
-             for k, v in sorted(value.items())]
-    return f"{{{inner}" + f",{inner}".join(items) + f"{indent}}}" if items else "{}"
+    separator = f"{{{inner}"
+    for k, v in sorted(value.items()):
+        out.append(f"{separator}{quote(k)}: ")
+        text = get(type(v))
+        if text:
+            out.append(text(v))
+        else:
+            _json_pieces(v, inner, out)
+        separator = f",{inner}"
+    out.append(f"{indent}}}")
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """The text of ``json.dumps(value, indent=2, sort_keys=True)``, from one
+    list of pieces joined once (see ``_json_pieces``)."""
+    out: list[str] = []
+    _json_pieces(value, indent, out)
+    return "".join(out)
+
+
+def _print_json(value) -> None:
+    """Write the text of ``_json_text(value)`` and a newline to stdout, joined
+    a few thousand pieces at a time: no copy of a large text is made, and a
+    small one is one write."""
+    out: list[str] = []
+    _json_pieces(value, "\n", out)
+    out.append("\n")
+    for start in range(0, len(out), _JSON_CHUNK):
+        sys.stdout.write("".join(out[start : start + _JSON_CHUNK]))
 
 
 def invariants_payload(spec: FibrationSpec) -> dict:
@@ -296,7 +339,7 @@ def invariants_payload(spec: FibrationSpec) -> dict:
 def cmd_invariants(args) -> int:
     payload = invariants_payload(load_spec(args.spec_file))
     if args.format == "json":
-        print(_json_text(payload))
+        _print_json(payload)
         return EXIT_OK
     doc = payload["spec"]
     flags = (("rational", payload["rational"]), ("K3-candidate", payload["k3_candidate"]))
@@ -390,7 +433,7 @@ def cmd_decide(args) -> int:
     overrides = _parse_set_overrides(args.set or [])
     payload = decide_payload(load_spec(args.spec_file), overrides)
     if args.format == "json":
-        print(_json_text(payload))
+        _print_json(payload)
         return EXIT_OK
     print(f"verdict  {'ordinary' if payload['ordinary'] else 'NOT ordinary'}")
     print(f"scope    {payload['scope']}")
@@ -520,7 +563,7 @@ def _primes_up_to(n: int) -> list[int]:
     for i in range(2, int(n**0.5) + 1):
         if sieve[i]:
             sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return [i for i in range(2, n + 1) if sieve[i]]
+    return list(compress(range(n + 1), sieve))
 
 
 def load_scan_document(path: str) -> tuple[EllipticCurveQ, list[int] | None]:
@@ -563,6 +606,12 @@ _JSON_ROW = """    {
     }"""
 
 
+# a row's state (E_ord, Dp_ord, verdict): at a bad prime, and E's alone at a good
+# one, indexed by whether E is ordinary
+_BAD_STATE = (None, None, None)
+_E_STATES = ((False, None, False), (True, None, True))
+
+
 def _branch_rows(curve: EllipticCurveQ, branch: list[int], primes: list[int]) -> list[tuple]:
     """The state (E_ord, Dp_ord, verdict) of each prime of a scan of the order-2
     chain with E and branch y^2 = branch; a bad prime has (None, None, None).
@@ -587,7 +636,7 @@ def _branch_rows(curve: EllipticCurveQ, branch: list[int], primes: list[int]) ->
             ram=RamificationData(a2=degree + degree % 2),
             field=PrimeField(good[0]),
         )
-    answers = {None: (None, None, None)}  # (E rank, D' rank) or None -> (E_ord, Dp_ord, verdict)
+    answers = {None: _BAD_STATE}  # (E rank, D' rank) or None -> (E_ord, Dp_ord, verdict)
     states = []
     for p in primes:
         ranks = (e_ranks[p], dp_ranks[p]) if p in e_ranks else None
@@ -605,11 +654,12 @@ def cmd_scan(args) -> int:
     if args.pmax > SCAN_MAX_P:
         raise OracleBoundError(f"scan refused: pmax={args.pmax} exceeds bound {SCAN_MAX_P}")
     curve, branch = load_scan_document(args.scan_file)
-    primes = [p for p in _primes_up_to(args.pmax) if p >= 5]
+    primes = _primes_up_to(args.pmax)[2:]  # from 5 on
     if branch is None:
-        good = [p for p in primes if curve.has_good_reduction(p)]
-        e_ord = dict(zip(good, ordinary_primes(curve, good)))
-        states = [(e_ord.get(p), None, e_ord.get(p)) for p in primes]
+        # every p exceeds 3: E has good reduction where p does not divide 4a^3 + 27b^2
+        flags = [curve.discriminant % p for p in primes]
+        verdicts = iter(ordinary_primes(curve, list(compress(primes, flags))))
+        states = [_E_STATES[next(verdicts)] if flag else _BAD_STATE for flag in flags]
     else:
         states = _branch_rows(curve, branch, primes)
     # a row's bytes depend only on p and its state: one %d template per state

@@ -21,9 +21,10 @@ from ``poly_pow_coeff`` alone, and squarefreeness comes from Res(f, f').  Both
 p-rank routes take rank(M^g) from one helper: det M, and only where it is 0
 the rank of M squared ceil(log2 g) times.  A run takes O(p_max) steps on
 numbers of about 1.44 p_max bits.  On a shared 2-vCPU x86-64 host
-(uncalibrated, one process each), a scan to p_max = 10^4 takes about 0.1 s
-for E alone, 0.4 s with a sextic branch, 0.6 s with an octic one and 11 s with
-one of degree 20; E's run with coefficients of 13000 bits takes 1.4 s.
+(uncalibrated, one process each, the fastest of three), a scan to
+p_max = 10^4 takes about 0.09 s for E alone, 0.4 s with a sextic branch,
+0.65 s with an octic one and 11 s (one run) with one of degree 20; E's run
+with coefficients of 13000 bits takes 1.4 s.
 
 The oracles enumerate and therefore carry hard input bounds.  The closed
 forms and the command line refuse an f of degree beyond ``BRANCH_MAX_DEGREE``
@@ -189,13 +190,15 @@ def ordinary_primes(curve: EllipticCurveQ, primes) -> list[bool]:
     every prime reads the window of r^m at n = m.  A prime of bad reduction
     or out of order raises ValueError.
     """
-    primes = list(primes)
-    for before, p in zip([3] + primes, primes):
-        if p <= before or curve.discriminant % p == 0:
+    reads, before, discriminant = [], 3, curve.discriminant
+    for p in primes:
+        if p <= before or discriminant % p == 0:
             raise ValueError(
                 f"need increasing primes > 3 of good reduction, got {p} after {before}"
             )
-    windows = half_power_windows((1, 0, curve.a, curve.b), [(p, (p - 1) // 2) for p in primes], 1)
+        reads.append((p, (p - 1) // 2))
+        before = p
+    windows = half_power_windows((1, 0, curve.a, curve.b), reads, 1)
     return [window[0] != 0 for window in windows]
 
 

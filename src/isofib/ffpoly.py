@@ -22,7 +22,9 @@ Scans ask for the same coefficients of h^((p-1)/2) at every prime up to a
 bound.  ``half_power_windows`` answers them all from one run of an integer
 recurrence that is the same for every p, modulo the product of the primes
 still to be read, and computes only the entries each read asks for, all of
-them below p; h = H(x^d) runs as H.  ``integer_resultant``
+them below p; h = H(x^d) runs as H.  A read's normaliser h(0)^e / S_n costs
+what that read needs: h(0)^e is 1 when h(0) is a positive square, S_(p-1) is
+-1 mod p, and any other read reduces S_n mod p once.  ``integer_resultant``
 gives Res(f, f') once by subresultants, so that a scan knows where f mod p
 is squarefree without a test per prime.
 """
@@ -361,10 +363,15 @@ def half_power_windows(h, reads, width: int) -> list[tuple[int, ...]]:
     G_n = sum_k ((p+1)k - 2n) h_k (2h_0)^(k-1) (n-1)(n-2)...(n-k+1) G_(n-k).
     Mod p the factor is k - 2n, so one integer run A_n with k - 2n is G_n mod
     p for every prime, and below p, where S_n = (2h_0)^n n! is a unit,
-    g_n = h_0^e A_n / S_n.  A runs modulo the product of the primes still to
-    be read.  The coefficients enter as least-absolute residues mod that
-    product, and again mod the smaller product once they outgrow it, so a step
-    multiplies each window entry by a small integer when h has small ones.
+    g_n = h_0^e A_n / S_n.  A read pays only for the part of the normaliser
+    h_0^e / S_n it needs: h_0^e = 1 mod every p when h_0 is a positive square
+    (Euler's criterion), which is decided once per run; at n = p - 1,
+    S_n = -1 mod p (Fermat and Wilson), so a run whose reads all sit there
+    keeps no S_n; any other read reduces S_n mod p once and inverts that.
+    A runs modulo the product of the primes still to be read.  The
+    coefficients enter as least-absolute residues mod that product, and again
+    mod the smaller product once they outgrow it, so a step multiplies each
+    window entry by a small integer when h has small ones.
 
     Where h = H(x^d), d > 1, g_n is c_(n/d)(H^e) for d | n and 0 otherwise:
     the run is one of H at n // d, and a read whose window holds no multiple
@@ -396,11 +403,15 @@ def half_power_windows(h, reads, width: int) -> list[tuple[int, ...]]:
             windows[r] = tuple(0 if i % d else window[n // d - i // d]
                                for i in range(n, n - width, -1))
         return windows
-    last: dict[int, int] = {}
+    last: dict[int, int] = {}  # prime: its last read
     at: dict[int, list[int]] = {}
+    track = False  # S_n is needed only by a read below p - 1
     for r, (p, n) in enumerate(reads):
         if n >= 0:
-            last[p] = max(last.get(p, 0), n)
+            if n > last.get(p, -1):
+                last[p] = n
+            if n < p - 1:
+                track = True
             at.setdefault(n, []).append(r)
     leave: dict[int, list[int]] = {}
     for p, n in last.items():
@@ -418,6 +429,7 @@ def half_power_windows(h, reads, width: int) -> list[tuple[int, ...]]:
             terms.append((k, c * power))
         power = power * two_h0 % modulus
     terms, term_bits = residues(terms)
+    square = h0 > 0 and math.isqrt(h0) ** 2 == h0  # then h_0^e = 1 mod every p (Euler)
     window, s = [0] * (m - 1) + [1], 1  # the last m values of A; S_n
     for n in range(max(last.values(), default=-1) + 1):
         if n:
@@ -430,16 +442,20 @@ def half_power_windows(h, reads, width: int) -> list[tuple[int, ...]]:
                 total += (k - 2 * n) * fall * w * window[-k]
             window.append(total % modulus)
             del window[0]
-            s = s * (two_h0 * n) % modulus
+            if track:
+                s = s * (two_h0 * n) % modulus
         for r in at.get(n, ()):
             p = reads[r][0]
-            # h_0^e / S_i for i = n, n - 1, ..., stepping by S_i = 2 h_0 i S_(i-1)
-            factor = pow(h0, (p - 1) // 2, p) * pow(s, -1, p) % p
-            entries = []
-            for i in range(n, max(n - width, -1), -1):
-                entries.append(window[i - n - 1] * factor % p)
+            # h_0^e / S_i for i = n, n - 1, ..., stepping by S_i = 2 h_0 i S_(i-1);
+            # S_(p-1) = -1 mod p (Fermat and Wilson)
+            factor = 1 if square else pow(h0, (p - 1) // 2, p)
+            factor = p - factor if n == p - 1 else factor * pow(s % p, -1, p) % p
+            count = min(width, n + 1)
+            entries = [window[-1] % p * factor % p] if count else []
+            for i in range(n, n - count + 1, -1):
                 factor = factor * two_h0 * i % p
-            windows[r] = tuple(entries) + (0,) * (width - len(entries))
+                entries.append(window[i - n - 2] % p * factor % p)
+            windows[r] = tuple(entries) + (0,) * (width - count)
         for p in leave.get(n, ()):
             modulus //= p
             if term_bits > modulus.bit_length() + 1:

@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -328,6 +329,13 @@ def test_each_command_validates_the_spec_once(tmp_path, monkeypatch, capsys):
         assert shown in capsys.readouterr().out
         for name in names:
             assert calls[name][None] == done, (argv, name)
+
+
+def test_primes_up_to_matches_trial_division():
+    primes = [n for n in range(3001) if n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))]
+    for n in range(3001):
+        assert cli._primes_up_to(n) == [p for p in primes if p <= n], n
+    assert cli._primes_up_to(-5) == []
 
 
 def test_scan_computes_each_curve_fact_once_per_prime(tmp_path, monkeypatch, capsys):

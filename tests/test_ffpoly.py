@@ -202,14 +202,17 @@ def test_recurrence_work_counts_the_runs_poly_pow_coeff_makes(monkeypatch):
             assert recurrence_work_mod(f.coeffs, p, e, ks) == sum(runs), (p, f.coeffs, ks)
 
 
-# integer polynomials: h(0) not +-1, non-monic, sparse, a unit h(0); then
-# h = H(x^d) for d = 2, 3, 4, which the engine runs as H
+# integer polynomials: h(0) not +-1, non-monic, sparse, a unit h(0), h(0) = 4
+# (a square, so h(0)^e = 1 mod p) and h(0) = -4 (not one); then h = H(x^d)
+# for d = 2, 3, 4, which the engine runs as H
 WINDOW_POLYS = (
     (3, 1, -2, 5, 7, -1, 4),
     (-2, 0, 5, 1, 0, -3, 2, 0, 5),
     (35, 0, 0, 0, 0, 0, 0, -1, 2),
     (1, 0, 17, -23),
     (6, 1),
+    (4, -3, 0, 2, 1),
+    (-4, 5, 2, 0, -1, 3),
     (-3, 0, 2, 0, 0, 0, 5),
     (35, 0, 0, -4, 0, 0, 1),
     (-2, 0, 0, 0, 7, 0, 0, 0, 3),
@@ -245,6 +248,18 @@ def test_half_power_windows_match_the_kernel_at_depth_one_and_two(h):
         for n in (d * p, d * p + 1, 2 * d * p - 1):
             with pytest.raises(ValueError, match=f"run index below p, got read \\({p}, {n}\\)"):
                 ffpoly.half_power_windows(h, reads[:3] + [(p, n)], m)
+
+
+@pytest.mark.parametrize("h", WINDOW_POLYS)
+def test_half_power_windows_read_only_at_p_minus_one(h):
+    # with every read at n = p - 1 a run of h keeps no S_n: each read takes
+    # h_0^e / S_(p-1) = -h_0^e mod p (Fermat and Wilson); h = H(x^d) runs H
+    # at (p - 1) // d, below p - 1, and tracks it
+    reads = [(p, p - 1) for p in range(5, 600) if _is_prime(p) and h[0] % p]
+    expected = [_kernel_window(h, p, n) for p, n in reads]
+    for width in range(len(h)):
+        got = ffpoly.half_power_windows(h, reads, width)
+        assert got == [full[:width] for full in expected], (h, width)
 
 
 def test_half_power_windows_read_zeros_below_the_start():

@@ -7,7 +7,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from isofib.cli import _json_text  # noqa: E402
+from isofib.cli import _JSON_CHUNK, _json_text, _print_json  # noqa: E402
 
 # quotes, backslashes, control characters, non-ASCII and astral text
 TEXT = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7fé€ \U0001f600'),
@@ -38,3 +38,10 @@ def test_the_writer_gives_the_bytes_of_the_indented_sorted_dump(value):
 def test_a_float_a_tuple_or_an_int_key_is_refused(value):
     with pytest.raises(TypeError):
         _json_text(value)
+
+
+def test_the_printed_text_is_the_dump_across_write_chunks(capsys):
+    # a list of n items is 2n + 1 pieces, so this listing spans three writes
+    value = {"entries": [SHARED] * (_JSON_CHUNK + 1), "rows": [{"p": p} for p in range(100)]}
+    _print_json(value)
+    assert capsys.readouterr().out == json.dumps(value, indent=2, sort_keys=True) + "\n"
