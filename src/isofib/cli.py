@@ -29,7 +29,6 @@ from itertools import compress
 from types import SimpleNamespace
 
 from .curves import (
-    EllipticCurveQ,
     EllipticCurveW,
     OracleBoundError,
     check_branch_degree,
@@ -566,7 +565,8 @@ def _primes_up_to(n: int) -> list[int]:
     return list(compress(range(n + 1), sieve))
 
 
-def load_scan_document(path: str) -> tuple[EllipticCurveQ, list[int] | None]:
+def load_scan_document(path: str) -> tuple[tuple[int, int], list[int] | None]:
+    """E's integers (a, b) and the branch, or raise with every field error found."""
     doc = _read_document(path)
     errors: list[str] = []
     if not isinstance(doc, dict):
@@ -574,13 +574,9 @@ def load_scan_document(path: str) -> tuple[EllipticCurveQ, list[int] | None]:
     for key in doc:
         if key not in {"E", "branch"}:
             errors.append(f"{key}: unknown field")
-    curve = None
-    coefficients = _want_curve(doc.get("E"), errors)
-    if coefficients is not None:
-        try:
-            curve = EllipticCurveQ(*coefficients)
-        except ValueError as exc:
-            errors.append(f"E: {exc}")
+    curve = _want_curve(doc.get("E"), errors)
+    if curve is not None and 4 * curve[0] ** 3 + 27 * curve[1] ** 2 == 0:
+        errors.append("E: singular integral model: 4a^3 + 27b^2 = 0")
     branch = doc.get("branch")
     if branch is not None:
         branch = _want_branch(branch, errors)
@@ -612,9 +608,11 @@ _BAD_STATE = (None, None, None)
 _E_STATES = ((False, None, False), (True, None, True))
 
 
-def _branch_rows(curve: EllipticCurveQ, branch: list[int], primes: list[int]) -> list[tuple]:
-    """The state (E_ord, Dp_ord, verdict) of each prime of a scan of the order-2
-    chain with E and branch y^2 = branch; a bad prime has (None, None, None).
+def _branch_rows(a: int, b: int, discriminant: int, branch: list[int],
+                 primes: list[int]) -> list[tuple]:
+    """The state (E_ord, Dp_ord, verdict) of each prime p > 3 of a scan of the
+    order-2 chain with E: y^2 = x^3 + ax + b, of discriminant factor
+    4a^3 + 27b^2, and branch y^2 = branch; a bad prime has (None, None, None).
 
     A prime is bad where E is singular, the branch degree drops or the branch
     is not squarefree; ``hyperelliptic_p_ranks`` and ``ordinary_primes`` give
@@ -623,10 +621,10 @@ def _branch_rows(curve: EllipticCurveQ, branch: list[int], primes: list[int]) ->
     is built once, and ``decide`` applies its clause to the two ranks, once
     per pair of ranks that occurs.
     """
-    candidates = [p for p in primes if curve.has_good_reduction(p) and branch[-1] % p]
-    dp_ranks = dict(zip(candidates, hyperelliptic_p_ranks(branch, candidates)))
-    good = [p for p in candidates if dp_ranks[p] is not None]
-    e_ranks = dict(zip(good, (int(o) for o in ordinary_primes(curve, good))))
+    flags = [discriminant % p and branch[-1] % p for p in primes]
+    dp_ranks = hyperelliptic_p_ranks(branch, list(compress(primes, flags)))
+    good = [p for p, rank in zip(compress(primes, flags), dp_ranks) if rank is not None]
+    e_ranks = iter(ordinary_primes(a, b, good))
     if good:
         degree = len(branch) - 1
         shape = FibrationSpec(
@@ -638,8 +636,10 @@ def _branch_rows(curve: EllipticCurveQ, branch: list[int], primes: list[int]) ->
         )
     answers = {None: _BAD_STATE}  # (E rank, D' rank) or None -> (E_ord, Dp_ord, verdict)
     states = []
-    for p in primes:
-        ranks = (e_ranks[p], dp_ranks[p]) if p in e_ranks else None
+    dp_ranks = iter(dp_ranks)
+    for flag in flags:
+        dp_rank = next(dp_ranks) if flag else None
+        ranks = None if dp_rank is None else (int(next(e_ranks)), dp_rank)
         if ranks not in answers:
             # the shape carries no models: the ranks computed above stand in for them
             report = build_report(shape, {"E": ranks[0], "Dp": ranks[1]})
@@ -653,15 +653,16 @@ def _branch_rows(curve: EllipticCurveQ, branch: list[int], primes: list[int]) ->
 def cmd_scan(args) -> int:
     if args.pmax > SCAN_MAX_P:
         raise OracleBoundError(f"scan refused: pmax={args.pmax} exceeds bound {SCAN_MAX_P}")
-    curve, branch = load_scan_document(args.scan_file)
+    (a, b), branch = load_scan_document(args.scan_file)
+    discriminant = 4 * a**3 + 27 * b**2
     primes = _primes_up_to(args.pmax)[2:]  # from 5 on
     if branch is None:
         # every p exceeds 3: E has good reduction where p does not divide 4a^3 + 27b^2
-        flags = [curve.discriminant % p for p in primes]
-        verdicts = iter(ordinary_primes(curve, list(compress(primes, flags))))
+        flags = [discriminant % p for p in primes]
+        verdicts = iter(ordinary_primes(a, b, list(compress(primes, flags))))
         states = [_E_STATES[next(verdicts)] if flag else _BAD_STATE for flag in flags]
     else:
-        states = _branch_rows(curve, branch, primes)
+        states = _branch_rows(a, b, discriminant, branch, primes)
     # a row's bytes depend only on p and its state: one %d template per state
     counts = {state: states.count(state) for state in set(states)}
     good = sum(n for (e_ord, _, _), n in counts.items() if e_ord is not None)

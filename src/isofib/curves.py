@@ -15,16 +15,16 @@ A scan asks for these facts at every prime up to a bound, and
 modulo the product of the primes still to be read, every read below p.
 ``ordinary_primes`` reads E's Hasse invariant from one run.
 ``hyperelliptic_p_ranks`` reads the Cartier-Manin rows 1 and g from one run of
-h = f/x^v and one of rev(h), and the middle rows from one run of each of g - 2
-translates f(x + c) (``_cartier_rows``); finitely many primes take the matrix
-from ``poly_pow_coeff`` alone, and squarefreeness comes from Res(f, f').  Both
+h = f/x^v and one of rev(h), and the middle rows from the same two runs where
+h = H(x^s) with 2s >= g, else from one run of each of g - 2 translates
+f(x + c) (``_cartier_rows``); finitely many primes take the matrix from
+``poly_pow_coeff`` alone, and squarefreeness comes from Res(f, f').  Both
 p-rank routes take rank(M^g) from one helper: det M, and only where it is 0
-the rank of M squared ceil(log2 g) times.  A run takes O(p_max) steps on
-numbers of about 1.44 p_max bits.  On a shared 2-vCPU x86-64 host
-(uncalibrated, one process each, the fastest of three), a scan to
-p_max = 10^4 takes about 0.09 s for E alone, 0.4 s with a sextic branch,
-0.65 s with an octic one and 11 s (one run) with one of degree 20; E's run
-with coefficients of 13000 bits takes 1.4 s.
+the rank of M squared ceil(log2 g) times.  A run takes O(p_max) steps, each
+about deg h products of a small integer by a number of about 1.44 p_max bits
+(the product of the primes still to be read), so a scan costs about
+deg f * p_max^2 bit operations per run: one run for E, and at most g for D'.
+README.md gives measured times.
 
 The oracles enumerate and therefore carry hard input bounds.  The closed
 forms and the command line refuse an f of degree beyond ``BRANCH_MAX_DEGREE``
@@ -84,22 +84,6 @@ class EllipticCurveW(Frozen):
 
     def rhs_poly(self) -> FpPolynomial:
         return FpPolynomial(self.field, [self.b, self.a, 0, 1])
-
-
-class EllipticCurveQ(Frozen):
-    """Integral model y^2 = x^3 + a*x + b, reduced prime by prime in scans."""
-
-    _fields = ("a", "b")  # the derived discriminant 4a^3 + 27b^2 is left out
-
-    def __init__(self, a: int, b: int):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "discriminant", 4 * index(self.a) ** 3 + 27 * index(self.b) ** 2)
-        if self.discriminant == 0:
-            raise ValueError("singular integral model: 4a^3 + 27b^2 = 0")
-
-    def has_good_reduction(self, p: int) -> bool:
-        return p > 3 and self.discriminant % p != 0
 
 
 class HyperellipticModel(Frozen):
@@ -181,16 +165,18 @@ def hasse_invariant(curve: EllipticCurveW) -> int:
     return poly_pow_coeff(f, e, ks)[0]
 
 
-def ordinary_primes(curve: EllipticCurveQ, primes) -> list[bool]:
-    """Whether E mod p is ordinary, for each of the increasing primes p > 3 of
-    good reduction, all from one run of ``half_power_windows``.
+def ordinary_primes(a: int, b: int, primes) -> list[bool]:
+    """Whether y^2 = x^3 + ax + b, for integers a and b, is ordinary mod each of
+    the increasing primes p > 3 of good reduction, all from one run of
+    ``half_power_windows``.
 
     With m = (p-1)/2 and r = 1 + ax^2 + bx^3 the reversal of x^3 + ax + b,
     the Hasse invariant c_(p-1)((x^3+ax+b)^m) is c_m(r^m), and r(0) = 1, so
-    every prime reads the window of r^m at n = m.  A prime of bad reduction
-    or out of order raises ValueError.
+    every prime reads the window of r^m at n = m.  A prime dividing
+    4a^3 + 27b^2 (so every prime of a singular model) or out of order raises
+    ValueError.
     """
-    reads, before, discriminant = [], 3, curve.discriminant
+    reads, before, discriminant = [], 3, 4 * index(a) ** 3 + 27 * index(b) ** 2
     for p in primes:
         if p <= before or discriminant % p == 0:
             raise ValueError(
@@ -198,7 +184,7 @@ def ordinary_primes(curve: EllipticCurveQ, primes) -> list[bool]:
             )
         reads.append((p, (p - 1) // 2))
         before = p
-    windows = half_power_windows((1, 0, curve.a, curve.b), reads, 1)
+    windows = half_power_windows((1, 0, a, b), reads, 1)
     return [window[0] != 0 for window in windows]
 
 
@@ -274,51 +260,55 @@ def _cartier_rows(f: tuple[int, ...], primes) -> list[list[list[int]]]:
     With f = x^v h, d = deg f and e = (p-1)/2, row i holds c_(pi-j)(f^e) for
     j = 1..g: the window of h^e at n = pi - 1 - ve, or the reversed window of
     rev(h)^e at n = de - pi + g, readable where the run index (n, or n // s
-    for h = H(x^s)) is below p.  Row g always is, row 1 where p does not
-    divide h(0), and every row of a sparse f = F(x^s) at most primes.
+    for h = H(x^s)) is below p.  At every p >= 5 and v <= 1 (README.md) the
+    low end is readable iff i <= s and p does not divide h(0), the top end iff
+    i > g - s, and where both are, the low end is the nearer iff 4i <= d + v;
+    so each prime's plan follows from s, g and whether p divides h(0).
 
-    Where a middle row is not, all of them come from translates: by Lucas'
-    theorem and Fermat (README.md), row 1 of the matrix of f(x + c) has the
-    Pascal transform sum_(j'<=j) C(j-1, j'-1) c^(j-j') c_(p-j')(f(x + c)^e) =
+    Where 2s < g the middle rows come from translates: by Lucas' theorem and
+    Fermat (README.md), row 1 of the matrix of f(x + c) has the Pascal
+    transform sum_(j'<=j) C(j-1, j'-1) c^(j-j') c_(p-j')(f(x + c)^e) =
     sum_i c^(i-1) M_ij, and its values at the first g - 2 positive c with
     f(c) != 0 give the middle rows by Lagrange interpolation; each translate
-    is read at n = p - 1.  Such a prime that divides h(0) or some f(c), or
-    does not exceed the largest c, takes the whole matrix from
-    ``poly_pow_coeff`` alone.  The rest share one ``half_power_windows`` run
-    per end of h and per translate.
+    is read at n = p - 1.  A prime that divides h(0) while s < g takes the
+    whole matrix from ``poly_pow_coeff`` alone, and so, where 2s < g, does one
+    that divides some f(c) or does not exceed the largest c.  The rest share
+    one ``half_power_windows`` run per end of h and per translate.
     """
     d = len(f) - 1
     g = (d - 1) // 2
     v = next(i for i, c in enumerate(f) if c)
     h = f[v:]
     step = math.gcd(*(k for k, c in enumerate(h) if k and c))  # h = H(x^step) runs as H
-    # the first g - 2 c > 0 with f(c) != 0 (f has at most d roots), and the runs h, rev(h), f(x + c)
-    nonroots = (c for c in range(1, d + g) if sum(a * c**n for n, a in enumerate(f)))
-    shifts = [c for _, c in zip(range(g - 2), nonroots)]
-    polys = [h, h[::-1]] + [[sum(a * math.comb(n, k) * c ** (n - k) for n, a in enumerate(f[k:], k))
-                             for k in range(d + 1)] for c in shifts]
+    # (row, run) of each read at an end of h where p does not divide h(0): every row
+    # where 2 step >= g, else rows 1 and g beside the translates
+    ends = [(i, int(i > step or i > g - step and 4 * i > d + v)) for i in range(1, g + 1)]
+    polys, shifts = [h, h[::-1]], []
+    if 2 * step < g:
+        ends = [(1, 0), (g, 1)]
+        # the first g - 2 c > 0 with f(c) != 0 (f has at most d roots), and the runs f(x + c)
+        nonroots = (c for c in range(1, d + g) if sum(a * c**n for n, a in enumerate(f)))
+        shifts = [c for _, c in zip(range(g - 2), nonroots)]
+        polys += [[sum(a * math.comb(n, k) * c ** (n - k) for n, a in enumerate(f[k:], k))
+                   for k in range(d + 1)] for c in shifts]
     reads = [[] for _ in polys]  # per run: (p, n, matrix, row)
     matrices = [[None] * g for _ in primes]
     for at, p in enumerate(primes):
         e = (p - 1) // 2
-        ends = {}  # row: (run, n) of a read at an end of h
-        for i in range(1, g + 1):
-            low, top = p * i - 1 - v * e, d * e - p * i + g
-            low_index = low // step if h[0] % p else p  # no low read where p | h(0)
-            index, run, n = min((top // step, 1, top), (low_index, 0, low))
-            if index < p:
-                ends[i] = run, n
-        if len(ends) < g:
-            if 1 not in ends or p <= max(shifts, default=0) or not all(q[0] % p for q in polys[2:]):
-                ks = [p * i - j for i in range(1, g + 1) for j in range(1, g + 1)]
-                entries = poly_pow_coeff(FpPolynomial(PrimeField(p), f), e, ks)
-                matrices[at] = [list(entries[k : k + g]) for k in range(0, g * g, g)]
-                continue
-            ends = {1: ends[1], g: ends[g]}
-            for run in range(2, len(polys)):
-                reads[run].append((p, p - 1, at, None))
-        for i, (run, n) in ends.items():
-            reads[run].append((p, n, at, i))
+        if h[0] % p == 0:  # no low read: every row at the top where step >= g
+            rows, fallback = [(i, 1) for i in range(1, g + 1)], step < g
+        else:
+            rows = ends
+            fallback = shifts and (p <= shifts[-1] or any(q[0] % p == 0 for q in polys[2:]))
+        if fallback:
+            ks = [p * i - j for i in range(1, g + 1) for j in range(1, g + 1)]
+            entries = poly_pow_coeff(FpPolynomial(PrimeField(p), f), e, ks)
+            matrices[at] = [list(entries[k : k + g]) for k in range(0, g * g, g)]
+            continue
+        for run in range(2, len(polys)):
+            reads[run].append((p, p - 1, at, None))
+        for i, run in rows:
+            reads[run].append((p, d * e - p * i + g if run else p * i - 1 - v * e, at, i))
     firsts = {}  # matrix: row 1 of each translate
     for run, poly in enumerate(polys):
         windows = half_power_windows(poly, [read[:2] for read in reads[run]], g)
@@ -396,7 +386,7 @@ def _affine_count_prime(f: FpPolynomial) -> int:
 def _points_at_infinity_prime(model: HyperellipticModel) -> int:
     if model.f.degree() % 2 == 1:
         return 1
-    return 2 if model.field.is_square(model.f.leading_coeff()) else 0
+    return 2 if model.field.is_square(model.f.coeffs[-1]) else 0
 
 
 def _count_over_ext(model: HyperellipticModel) -> int:

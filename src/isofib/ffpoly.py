@@ -171,10 +171,6 @@ class FpPolynomial(Frozen):
         reduced = [index(c) % field.p for c in coeffs]
         object.__setattr__(self, "coeffs", _normalize(reduced))
 
-    @staticmethod
-    def zero(field: PrimeField) -> "FpPolynomial":
-        return FpPolynomial(field, ())
-
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
         return len(self.coeffs) - 1
@@ -184,18 +180,11 @@ class FpPolynomial(Frozen):
             return self.coeffs[k]
         return 0
 
-    def leading_coeff(self) -> int:
-        return self.coeffs[-1] if self.coeffs else 0
-
     def __mul__(self, other: "FpPolynomial") -> "FpPolynomial":
         if self.field != other.field:
             raise ValueError("polynomials over different fields")
         prod = _mul_coeffs(self.field.p, self.coeffs, other.coeffs)
         return FpPolynomial(self.field, prod)
-
-    def scale(self, c: int) -> "FpPolynomial":
-        c %= self.field.p
-        return FpPolynomial(self.field, [c * a for a in self.coeffs])
 
     def __pow__(self, e: int) -> "FpPolynomial":
         """Binary power on raw coefficient tuples; squares only while bits of e remain."""

@@ -24,12 +24,11 @@ give the genus of each cover D'/H in the tower.
 from __future__ import annotations
 
 import enum
-import functools
 from itertools import compress
 from math import gcd
 from operator import attrgetter, index, mul
 
-from .curves import EllipticCurveW, HyperellipticModel, j_invariant_and_aut
+from .curves import EllipticCurveW, j_invariant_and_aut
 from .ffpoly import FpPolynomial, Frozen, PrimeField
 
 
@@ -158,15 +157,6 @@ class FibrationSpec(Frozen):
     @property
     def group_order(self) -> int:
         return self.translation.order * self.rotation.order
-
-    @functools.cached_property
-    def double_cover(self) -> HyperellipticModel:
-        """D' as the curve y^2 = branch_poly, for a branch of degree 3 or more.
-
-        Built once: its construction is validation's squarefree check, and
-        the report reads the same model.
-        """
-        return HyperellipticModel(self.branch_poly)
 
 
 class KodairaType(FrozenEnum):
@@ -359,7 +349,7 @@ def validate_spec(spec: FibrationSpec) -> list[str]:
             violations.append("branch polynomial lives over a different prime field")
         elif spec.branch_poly.degree() < 1:
             violations.append("branch polynomial must be nonconstant")
-        elif not _branch_is_squarefree(spec):
+        elif not spec.branch_poly.is_squarefree():
             violations.append("branch polynomial is not squarefree")
         else:
             deg = spec.branch_poly.degree()
@@ -370,18 +360,6 @@ def validate_spec(spec: FibrationSpec) -> list[str]:
                     f"(degree {deg}{', plus infinity' if deg % 2 else ''}) but a2 = {r.a2}"
                 )
     return violations
-
-
-def _branch_is_squarefree(spec: FibrationSpec) -> bool:
-    """Whether the branch polynomial is squarefree.  From degree 3 on the test
-    is the construction of ``spec.double_cover``, which the report reads."""
-    if spec.branch_poly.degree() < 3:
-        return spec.branch_poly.is_squarefree()
-    try:
-        spec.double_cover
-    except ValueError:  # the model's own squarefree check failed
-        return False
-    return True
 
 
 def genus_cover_tower(spec: FibrationSpec) -> tuple[int, int | None, int | None]:

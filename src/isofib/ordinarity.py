@@ -31,6 +31,7 @@ from operator import index
 
 from .curves import (
     EllipticCurveW,
+    HyperellipticModel,
     check_closed_form_bound,
     hasse_invariant,
     p_rank_hyperelliptic,
@@ -170,7 +171,7 @@ def build_report(spec: FibrationSpec, overrides: dict | None = None) -> CurveOrd
         entries["E"] = CurveReportEntry(1, rank, None, COMPUTED)
 
     if entries["Dp"] is None and spec.branch_poly is not None:  # the order-2 chain
-        model = spec.double_cover
+        model = HyperellipticModel(spec.branch_poly)
         if model.genus != genera["Dp"]:
             raise AssertionError(
                 f"branch polynomial genus {model.genus} != tower genus {genera['Dp']}"
@@ -363,9 +364,9 @@ def hasse_poly_z2(curve: EllipticCurveW, branch: FpPolynomial) -> FpPolynomial:
         raise ValueError("branch polynomial is not squarefree")
     h = hasse_invariant(curve)
     if h == 0:
-        return FpPolynomial.zero(branch.field)
+        return FpPolynomial(branch.field)
     p = curve.field.p
-    return (branch ** ((p - 1) // 2)).scale(h)
+    return FpPolynomial(branch.field, [h * c for c in (branch ** ((p - 1) // 2)).coeffs])
 
 
 def h2_frobenius_matrix(hasse: FpPolynomial, d: int) -> FpMatrix:

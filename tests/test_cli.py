@@ -817,6 +817,8 @@ def test_scan_rejects_singular_integral_model(tmp_path, capsys):
     path = write_spec(tmp_path, {"E": {"a": 0, "b": 0}}, name="scan.json")
     code = main(["scan", path, "--pmax", "20"])
     assert code == EXIT_PARSE
+    assert capsys.readouterr().err == (
+        "cannot read input:\n  - E: singular integral model: 4a^3 + 27b^2 = 0\n")
 
 
 def test_scan_rejects_constant_branch(tmp_path, capsys):

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -10,7 +10,6 @@ from helpers import count_calls, matrix_power_by_products
 from isofib.curves import (
     BRANCH_MAX_DEGREE,
     RECURRENCE_MAX_WORK,
-    EllipticCurveQ,
     EllipticCurveW,
     HyperellipticModel,
     OracleBoundError,
@@ -320,21 +319,24 @@ def test_twist_invariance_of_ordinarity():
 
 
 def test_rational_model_reduction():
-    e = EllipticCurveQ(0, 1)  # disc factor 27: bad only at 3
-    assert e.has_good_reduction(7)
-    assert not e.has_good_reduction(3)
-    assert EllipticCurveW(PrimeField(7), e.a, e.b) == EllipticCurveW(PrimeField(7), 7, 8)
-    assert not EllipticCurveQ(1, 2).has_good_reduction(7)
+    # disc factor 27: bad only at 3
+    assert ordinary_primes(0, 1, [7]) == [_hasse_ordinary((0, 1), 7)]
+    with pytest.raises(ValueError):
+        ordinary_primes(0, 1, [3])
+    assert EllipticCurveW(PrimeField(7), 0, 1) == EllipticCurveW(PrimeField(7), 7, 8)
+    with pytest.raises(ValueError):
+        ordinary_primes(1, 2, [7])
     with pytest.raises(ValueError):
         EllipticCurveW(PrimeField(7), 1, 2)  # 4 + 108 = 112 = 0 mod 7
     with pytest.raises(ValueError):
-        EllipticCurveQ(0, 0)
+        ordinary_primes(0, 0, [5])
 
 
 def test_bad_prime_detection_uses_integer_discriminant():
-    e = EllipticCurveQ(-1, 0)  # 4*(-1)^3 = -4: bad at 2 only, but p>3 anyway
-    assert e.has_good_reduction(5)
-    assert not e.has_good_reduction(2)
+    # 4*(-1)^3 = -4: bad at 2 only, but p>3 anyway
+    assert ordinary_primes(-1, 0, [5]) == [_hasse_ordinary((-1, 0), 5)]
+    with pytest.raises(ValueError):
+        ordinary_primes(-1, 0, [2])
 
 
 # (a, b): j = 0 and j = 1728 with both signs, generic curves with negative
@@ -354,41 +356,49 @@ TREE_CURVES = (
 
 
 def _good_primes(e, pmax):
-    return [p for p in range(5, pmax + 1) if _is_prime(p) and e.has_good_reduction(p)]
+    a, b = e
+    return [p for p in range(5, pmax + 1) if _is_prime(p) and (4 * a**3 + 27 * b**2) % p]
 
 
 def _hasse_ordinary(e, p):
-    return hasse_invariant(EllipticCurveW(PrimeField(p), e.a, e.b)) != 0
+    return hasse_invariant(EllipticCurveW(PrimeField(p), *e)) != 0
 
 
 @pytest.mark.parametrize("a, b", TREE_CURVES)
 def test_ordinary_primes_agree_with_the_hasse_invariant(a, b):
-    e = EllipticCurveQ(a, b)
+    e = (a, b)
     primes = _good_primes(e, 3000)
     assert len(primes) > 420
-    assert ordinary_primes(e, primes) == [_hasse_ordinary(e, p) for p in primes]
+    assert ordinary_primes(a, b, primes) == [_hasse_ordinary(e, p) for p in primes]
 
 
 def test_ordinary_primes_with_zero_one_and_two_primes():
-    e = EllipticCurveQ(1, 1)
+    e = (1, 1)
     for pmax, count in ((4, 0), (5, 1), (7, 2)):
         primes = _good_primes(e, pmax)
         assert len(primes) == count
-        assert ordinary_primes(e, primes) == [_hasse_ordinary(e, p) for p in primes]
+        assert ordinary_primes(*e, primes) == [_hasse_ordinary(e, p) for p in primes]
 
 
 def test_ordinary_primes_with_four_thousand_digit_coefficients():
     rng = random.Random(4000)
-    e = EllipticCurveQ(rng.randrange(10**3999, 10**4000), -rng.randrange(10**3999, 10**4000))
+    e = (rng.randrange(10**3999, 10**4000), -rng.randrange(10**3999, 10**4000))
     primes = _good_primes(e, 600)
-    assert ordinary_primes(e, primes) == [_hasse_ordinary(e, p) for p in primes]
+    assert ordinary_primes(*e, primes) == [_hasse_ordinary(e, p) for p in primes]
+
+
+def test_ordinary_primes_takes_exact_integers_of_a_smooth_model():
+    with pytest.raises(ValueError):
+        ordinary_primes(0, 0, [5])
+    with pytest.raises(TypeError):
+        ordinary_primes(1.5, 1, [5])
 
 
 def test_ordinary_primes_refuses_bad_or_unordered_primes():
-    e = EllipticCurveQ(1, 1)  # 4 + 27 = 31
+    # 4 + 27 = 31
     for primes in ([3], [5, 31], [7, 5], [5, 5]):
         with pytest.raises(ValueError, match="increasing primes > 3 of good reduction"):
-            ordinary_primes(e, primes)
+            ordinary_primes(1, 1, primes)
 
 
 # branches of degree 5 to 8 (genus 2 and 3): f(0) = 0; h(0) = 3 and lc = 4;
@@ -434,6 +444,68 @@ def test_cartier_rows_of_sparse_branches_agree_with_the_kernel():
         primes = _squarefree_primes(f, 1000)
         for p, rows in zip(primes, _cartier_rows(f, primes)):
             assert rows == _cartier_manin_rows(f, p), (f, p)
+
+
+def _sparse_branch(rng, v, step, terms):
+    """x^v H(x^step) of degree at least 3, with H(0) != 0 and H of degree at least terms."""
+    terms = max(terms, -(-(3 - v) // step))
+    h = [0] * (step * terms + 1)
+    h[::step] = [rng.choice((1, 2, -3))] + [rng.randrange(-9, 10) for _ in range(terms - 1)] + [
+        rng.choice((1, 2, -3))]
+    return (0,) * v + tuple(h)
+
+
+def test_cartier_read_plan_rule_matches_the_run_indices():
+    # at p >= 5 and v <= 1, row i has a read with run index below p at the low
+    # end of h = f/x^v iff i <= s (s the exponent gcd of h), and at the top end
+    # iff i > g - s; where both do, the low end is the nearer iff 4i <= d + v
+    rng = random.Random(48)
+    primes = [p for p in range(5, 3000) if _is_prime(p)]
+    branches = [_sparse_branch(rng, rng.randrange(2), rng.choice((1, 1, 2, 3, 4, 6)),
+                               rng.randrange(1, 13)) for _ in range(40)]
+    pairs = 0
+    for f in branches:
+        d, v = len(f) - 1, next(i for i, c in enumerate(f) if c)
+        g, s = (d - 1) // 2, gcd(*(k - v for k, c in enumerate(f) if k > v and c))
+        for p in primes:
+            e = (p - 1) // 2
+            for i in range(1, g + 1):
+                low, top = p * i - 1 - v * e, d * e - p * i + g
+                assert (low // s < p) == (i <= s), (f, p, i)
+                assert (top // s < p) == (i > g - s), (f, p, i)
+                if i <= s and i > g - s:
+                    assert (low <= top) == (4 * i <= d + v), (f, p, i)
+                pairs += 1
+    assert pairs > 100_000
+
+
+def test_cartier_rows_of_sparse_branches_fall_back_only_where_the_rule_says(monkeypatch):
+    # a good prime dividing h(0) has v = 0 and s = 1, so it reads every row at
+    # the top when g = 1 and takes the kernel otherwise; where 2s < g a prime
+    # not above the largest shift c or dividing some f(c) takes it too
+    kernel = count_calls(monkeypatch, "ffpoly", "poly_pow_coeff", key=lambda f, *_: f.field.p)
+    rng = random.Random(21)
+    branches = [f for f, _ in SPARSE_BRANCHES]
+    branches += [_sparse_branch(rng, rng.randrange(2), step, terms)
+                 for step in (2, 3, 4, 6) for terms in (1, 2, 4, 6)]
+    for degree in range(3, 13):  # h(0) = 5 * 7 * 11, and about half the other terms zero
+        middle = [rng.choice((0, rng.randrange(-9, 10))) for _ in range(degree - 2)]
+        branches.append((5 * 7 * 11, rng.choice((1, 2, -3)), *middle, rng.choice((1, 2, -3))))
+    kernel_calls = 0
+    for f in branches:
+        d, v = len(f) - 1, next(i for i, c in enumerate(f) if c)
+        g, s = (d - 1) // 2, gcd(*(k - v for k, c in enumerate(f) if k > v and c))
+        primes = _squarefree_primes(f, 200)
+        shifts = [c for c in range(1, 2 * d) if _translate(f, c)[0]][: g - 2]
+        expected = [p for p in primes if f[v] % p == 0 and s < g or f[v] % p and 2 * s < g and (
+            p <= shifts[-1] or any(_translate(f, c)[0] % p == 0 for c in shifts))]
+        kernel.clear()
+        matrices = _cartier_rows(f, primes)
+        assert dict(kernel) == dict.fromkeys(expected, 1), f
+        kernel_calls += len(expected)
+        for p, rows in zip(primes, matrices):
+            assert rows == _cartier_manin_rows(f, p), (f, p)
+    assert kernel_calls > 40
 
 
 def _translate(f, c):

@@ -81,7 +81,7 @@ def test_polynomial_normalization():
     assert f.coeffs == (1,)
     assert f.degree() == 0
     assert FpPolynomial(F7, []).coeffs == ()
-    assert FpPolynomial(F7, [0, 0]) == FpPolynomial.zero(F7)
+    assert FpPolynomial(F7, [0, 0]) == FpPolynomial(F7)
     assert FpPolynomial(F7, [0, 0]).degree() == -1
 
 
@@ -106,7 +106,7 @@ def test_poly_pow_coeff_out_of_range_is_zero():
     f = FpPolynomial(F7, [1, 1])
     assert poly_pow_coeff(f, 2, (50, -1, 2)) == (0, 0, 1)
     assert poly_pow_coeff(f, 0, (0, 1, -1)) == (1, 0, 0)
-    zero = FpPolynomial.zero(F7)
+    zero = FpPolynomial(F7)
     assert poly_pow_coeff(zero, 0, (0, 1)) == (1, 0)
     assert poly_pow_coeff(zero, 3, (0, 1)) == (0, 0)
     assert poly_pow_coeff(f, 2, ()) == ()
@@ -410,7 +410,7 @@ def test_is_squarefree_small_cases():
     assert not (g * g).is_squarefree()
     assert not (f * g).is_squarefree()  # (x+1)^2 (x^2-x+1)
     assert FpPolynomial(F7, [3]).is_squarefree()  # a nonzero constant
-    assert not FpPolynomial.zero(F7).is_squarefree()
+    assert not FpPolynomial(F7).is_squarefree()
     assert not FpPolynomial(F7, [1] + [0] * 6 + [1]).is_squarefree()  # x^7 + 1 = (x+1)^7
 
 
@@ -449,7 +449,7 @@ def test_is_squarefree_matches_the_resultant():
             assert f.degree() == 3 * p
             assert not f.is_squarefree() and not _squarefree_by_resultant(f)
         assert FpPolynomial(field, [rng.randrange(1, p)]).is_squarefree()
-        assert not FpPolynomial.zero(field).is_squarefree()
+        assert not FpPolynomial(field).is_squarefree()
 
 
 def test_matrix_rank_det_identity_and_zero():

@@ -337,6 +337,17 @@ def test_validate_branch_poly_rules():
     assert any("order-2 chain" in v for v in wrong_rotation)
 
 
+@pytest.mark.parametrize("degree", [3, 4, 5, 6])
+def test_validate_rejects_a_non_squarefree_branch_of_every_degree(degree):
+    # (x - 1)^2 (x - 2) ... (x - (degree - 1)) mod 7: odd degrees add the point at infinity
+    branch = [1]
+    for root in [1, *range(1, degree)]:
+        branch = [b - root * a for a, b in zip(branch + [0], [0] + branch)]
+    assert violations_of(Rotation.C2, p=7, a2=degree + degree % 2, branch=branch) == [
+        "branch polynomial is not squarefree"
+    ]
+
+
 def test_validate_branch_poly_needs_a_rational_base():
     # the quartic marks the four branch points of a double cover of P^1, not of a genus-1 C
     assert violations_of(Rotation.C2, p=7, genus_base=1, a2=4, branch=[1, 0, 0, 0, 1]) == [

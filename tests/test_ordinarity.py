@@ -341,14 +341,14 @@ def test_hasse_poly_z2_known_value():
     branch = FpPolynomial(F5, [0, -1, 1])  # t^2 - t
     out = hasse_poly_z2(e, branch)
     assert hasse_invariant(e) == 2
-    expected = (branch * branch).scale(2)
+    expected = FpPolynomial(F5, [0, 0, 2, -4, 2])  # 2 (t^2 - t)^2
     assert out == expected
 
 
 def test_hasse_poly_z2_supersingular_gives_zero():
     e = EllipticCurveW(F5, 0, 1)
     branch = FpPolynomial(F5, [0, -1, 1])
-    assert hasse_poly_z2(e, branch) == FpPolynomial.zero(F5)
+    assert hasse_poly_z2(e, branch) == FpPolynomial(F5)
 
 
 def test_hasse_poly_z2_rejects_non_squarefree():

@@ -11,7 +11,6 @@ import isofib
 from isofib import (
     CurveOrdinarityReport,
     CurveReportEntry,
-    EllipticCurveQ,
     EllipticCurveW,
     FiberClass,
     FibrationSpec,
@@ -45,7 +44,6 @@ CASES = {
     FpPolynomial: (FpPolynomial, (F5, [2, 1]), (F5, [3, 1]), (F5, [2.5, 1])),
     FpMatrix: (FpMatrix, (F5, [[1, 2]]), (F5, [[1, 3]]), (F5, [[2.7]])),
     EllipticCurveW: (EllipticCurveW, (F5, 1, 1), (F5, 1, 2), (F5, 1.5, 1)),
-    EllipticCurveQ: (EllipticCurveQ, (1, 1), (1, 2), (1.5, 1)),
     HyperellipticModel: (lambda *f: HyperellipticModel(FpPolynomial(F5, f)),
                          (1, 1, 0, 0, 0, 1), (2, 1, 0, 0, 0, 1), (1.0, 1, 0, 0, 0, 1)),
     TranslationClass: (TranslationClass, (2, 1), (2, 2), (2.0, 1)),
@@ -104,7 +102,7 @@ def test_value_types_survive_copy_and_pickle(cls):
 
 def test_value_type_reprs_name_the_compared_fields_only():
     assert repr(TranslationClass(2, 1)) == "TranslationClass(n1=2, n2=1)"
-    assert repr(EllipticCurveQ(1, 1)) == "EllipticCurveQ(a=1, b=1)"
+    assert repr(EllipticCurveW(F5, 1, 1)) == "EllipticCurveW(field=PrimeField(p=5), a=1, b=1)"
     assert repr(_trivial_spec(1)) == (
         "FibrationSpec(rotation=<Rotation.TRIVIAL: 1>, translation=TranslationClass(n1=1, n2=1), "
         "genus_base=1, ram=RamificationData(a2=0, a3p=0, a3m=0, a4p=0, a4m=0, a6p=0, a6m=0), "
