@@ -2,13 +2,15 @@
 
 Two routes to every ordinarity fact:
 
-* the closed form: Hasse invariant (elliptic) and the Cartier operator matrix
-  on regular one-forms (hyperelliptic), both a few coefficients of
-  f^((p-1)/2) that ``poly_pow_coeff`` computes without building the power;
+* the closed form: the Cartier operator matrix on regular one-forms, a few
+  coefficients of f^((p-1)/2) that ``poly_pow_coeff`` computes without
+  building the power (``_cartier_matrix``); E, a genus-1 double cover of the
+  line, has its Hasse invariant as the 1 x 1 case;
 * the oracle: exhaustive point counts over GF(p) (and GF(p^2) for genus 2,
   on integer pairs a + b*w whose squares are told by their norm to GF(p)),
   turned into the numerator of the zeta function, whose reduction mod p has
-  degree equal to the p-rank.  It shares no code with the kernel.
+  degree equal to the p-rank; E's count is the genus-1 case.  It shares no
+  code with the kernel.
 
 A scan asks for these facts at every prime up to a bound, and
 ``ffpoly.half_power_windows`` answers each of them for all primes from one run
@@ -18,7 +20,7 @@ modulo the product of the primes still to be read, every read below p.
 h = f/x^v and one of rev(h), and the middle rows from the same two runs where
 h = H(x^s) with 2s >= g, else from one run of each of g - 2 translates
 f(x + c) (``_cartier_rows``); finitely many primes take the matrix from
-``poly_pow_coeff`` alone, and squarefreeness comes from Res(f, f').  Both
+``_cartier_matrix`` alone, and squarefreeness comes from Res(f, f').  Both
 p-rank routes take rank(M^g) from one helper: det M, and only where it is 0
 the rank of M squared ceil(log2 g) times.  A run takes O(p_max) steps, each
 about deg h products of a small integer by a number of about 1.44 p_max bits
@@ -26,12 +28,13 @@ about deg h products of a small integer by a number of about 1.44 p_max bits
 deg f * p_max^2 bit operations per run: one run for E, and at most g for D'.
 README.md gives measured times.
 
-The oracles enumerate and therefore carry hard input bounds.  The closed
-forms and the command line refuse an f of degree beyond ``BRANCH_MAX_DEGREE``
-by the one ``check_branch_degree``; the closed forms also refuse coefficients
-whose recurrence takes more than ``RECURRENCE_MAX_WORK`` steps times p-adic
-digits, and ``check_closed_form_bound`` bounds the degree of a full power
-f^((p-1)/2) by ``CLOSED_FORM_MAX_DEGREE`` for the one caller that builds it.
+The oracles enumerate and therefore refuse a prime beyond ``COUNT_MAX_P`` of
+its genus, and any genus beyond 2.  The closed forms and the command line
+refuse an f of degree beyond ``BRANCH_MAX_DEGREE`` by the one
+``check_branch_degree``; the closed forms also refuse coefficients whose
+recurrence takes more than ``RECURRENCE_MAX_WORK`` steps times p-adic digits,
+and ``check_closed_form_bound`` bounds the degree of a full power f^((p-1)/2)
+by ``CLOSED_FORM_MAX_DEGREE`` for the one caller that builds it.
 Exceeding a bound raises ``OracleBoundError`` rather than silently truncating.
 """
 
@@ -53,9 +56,7 @@ from .ffpoly import (
     recurrence_work_mod,
 )
 
-POINT_COUNT_MAX_P = 10_000
-ZETA_MAX_P = 101
-ZETA_MAX_GENUS = 2
+COUNT_MAX_P = {1: 10_000, 2: 101}  # largest p whose points each genus enumerates
 CLOSED_FORM_MAX_DEGREE = 150_000  # largest deg f^((p-1)/2) built as a whole power
 BRANCH_MAX_DEGREE = 100  # largest deg f the closed forms take: the Cartier route costs about g^3
 RECURRENCE_MAX_WORK = 1_000_000  # largest steps x p-adic digits of a coefficient recurrence
@@ -156,13 +157,21 @@ def _check_work(work: int) -> None:
         )
 
 
-def hasse_invariant(curve: EllipticCurveW) -> int:
-    """Coefficient of x^(p-1) in (x^3 + ax + b)^((p-1)/2); zero iff supersingular."""
-    p = curve.field.p
-    f = curve.rhs_poly()
-    e, ks = (p - 1) // 2, (p - 1,)
+def _cartier_matrix(f: FpPolynomial) -> list[list[int]]:
+    """The g x g Cartier-Manin matrix of y^2 = f(x) as rows: with f^((p-1)/2)
+    = sum c_k x^k, the (i, j) entry is c_(p*i - j) for 1 <= i, j <= g, under
+    ``check_recurrence_bound``."""
+    p, g = f.field.p, (f.degree() - 1) // 2
+    e, ks = (p - 1) // 2, [p * i - j for i in range(1, g + 1) for j in range(1, g + 1)]
     check_recurrence_bound(f, e, ks)
-    return poly_pow_coeff(f, e, ks)[0]
+    entries = poly_pow_coeff(f, e, ks)
+    return [list(entries[k : k + g]) for k in range(0, g * g, g)]
+
+
+def hasse_invariant(curve: EllipticCurveW) -> int:
+    """Coefficient of x^(p-1) in (x^3 + ax + b)^((p-1)/2), the 1 x 1
+    Cartier-Manin matrix of E; zero iff supersingular."""
+    return _cartier_matrix(curve.rhs_poly())[0][0]
 
 
 def ordinary_primes(a: int, b: int, primes) -> list[bool]:
@@ -195,12 +204,12 @@ def hyperelliptic_p_ranks(f, primes) -> list[int | None]:
 
     f is an integer polynomial, lowest degree first, of degree 1 to
     BRANCH_MAX_DEGREE, and no prime may divide its leading coefficient.
-    Squarefreeness comes from Res(f, f') alone: for p not dividing lc(f),
-    f mod p is squarefree iff p does not divide it.  First every prime where
-    f is squarefree is held to RECURRENCE_MAX_WORK for the Cartier-Manin
-    entries ``cartier_manin`` reads, in order, so a scan beyond the bound is
-    refused before any run (an over-bound prime asks Res(f, f') mod p alone,
-    as the resultant of a large f over all the primes can take minutes).  The
+    Squarefreeness comes from Res(f, f'): for p not dividing lc(f), f mod p
+    is squarefree iff p does not divide it.  First every prime where f is
+    squarefree is held to RECURRENCE_MAX_WORK for the Cartier-Manin entries
+    ``cartier_manin`` reads, in order, so a scan beyond the bound is refused
+    before any run (an over-bound prime asks Euclid on f mod p alone, as the
+    resultant of a large f over all the primes can take minutes).  The
     entries then come from ``_cartier_rows``, and each rank from
     ``_cartier_p_rank``.
     """
@@ -220,7 +229,7 @@ def hyperelliptic_p_ranks(f, primes) -> list[int | None]:
         if degree * e * (1 + degree * e // (p - 1)) > RECURRENCE_MAX_WORK:
             ks = [p * i - j for i in range(1, g + 1) for j in range(1, g + 1)]
             work = recurrence_work_mod(tuple(c % p for c in f), p, e, ks)
-            if work > RECURRENCE_MAX_WORK and _discriminant(f, [p]) % p:
+            if work > RECURRENCE_MAX_WORK and FpPolynomial(PrimeField(p), f).is_squarefree():
                 _check_work(work)
     discriminant = _discriminant(f, primes)
     good = [p for p in primes if discriminant % p]
@@ -271,7 +280,7 @@ def _cartier_rows(f: tuple[int, ...], primes) -> list[list[list[int]]]:
     sum_i c^(i-1) M_ij, and its values at the first g - 2 positive c with
     f(c) != 0 give the middle rows by Lagrange interpolation; each translate
     is read at n = p - 1.  A prime that divides h(0) while s < g takes the
-    whole matrix from ``poly_pow_coeff`` alone, and so, where 2s < g, does one
+    whole matrix from ``_cartier_matrix`` alone, and so, where 2s < g, does one
     that divides some f(c) or does not exceed the largest c.  The rest share
     one ``half_power_windows`` run per end of h and per translate.
     """
@@ -301,9 +310,7 @@ def _cartier_rows(f: tuple[int, ...], primes) -> list[list[list[int]]]:
             rows = ends
             fallback = shifts and (p <= shifts[-1] or any(q[0] % p == 0 for q in polys[2:]))
         if fallback:
-            ks = [p * i - j for i in range(1, g + 1) for j in range(1, g + 1)]
-            entries = poly_pow_coeff(FpPolynomial(PrimeField(p), f), e, ks)
-            matrices[at] = [list(entries[k : k + g]) for k in range(0, g * g, g)]
+            matrices[at] = _cartier_matrix(FpPolynomial(PrimeField(p), f))
             continue
         for run in range(2, len(polys)):
             reads[run].append((p, p - 1, at, None))
@@ -339,29 +346,19 @@ def _cartier_rows(f: tuple[int, ...], primes) -> list[list[list[int]]]:
 
 
 def point_count_oracle(curve: EllipticCurveW) -> tuple[int, int]:
-    """(#points over GF(p) including infinity, trace a_p) by full enumeration."""
-    p = curve.field.p
-    if p > POINT_COUNT_MAX_P:
-        raise OracleBoundError(
-            f"point enumeration refused: p={p} exceeds bound {POINT_COUNT_MAX_P}"
-        )
-    count = 1 + _affine_count_prime(curve.rhs_poly())  # the point at infinity
-    return count, p + 1 - count
+    """(#points over GF(p) including infinity, trace a_p) by full enumeration:
+    the genus-1 case of ``_point_count``."""
+    count = _point_count(curve.rhs_poly())
+    return count, curve.field.p + 1 - count
 
 
 def cartier_manin(model: HyperellipticModel) -> FpMatrix:
     """The g x g matrix of the Cartier operator for y^2 = f(x).
 
-    With f^((p-1)/2) = sum c_k x^k, the (i, j) entry is c_(p*i - j) for
-    1 <= i, j <= g.  For genus 1 the single entry is the Hasse invariant of
-    the corresponding elliptic model.
+    The rows of ``_cartier_matrix``; for genus 1 the single entry is the
+    Hasse invariant of the corresponding elliptic model.
     """
-    g = model.genus
-    p = model.field.p
-    e, ks = (p - 1) // 2, [p * i - j for i in range(1, g + 1) for j in range(1, g + 1)]
-    check_recurrence_bound(model.f, e, ks)
-    coeffs = poly_pow_coeff(model.f, e, ks)
-    return FpMatrix(model.field, [coeffs[row : row + g] for row in range(0, g * g, g)])
+    return FpMatrix(model.field, _cartier_matrix(model.f))
 
 
 def p_rank_hyperelliptic(model: HyperellipticModel) -> int:
@@ -370,10 +367,14 @@ def p_rank_hyperelliptic(model: HyperellipticModel) -> int:
     return _cartier_p_rank(cartier_manin(model).entries, model.field.p)
 
 
-def _affine_count_prime(f: FpPolynomial) -> int:
-    """Affine points of y^2 = f(x) over GF(p), by Euler's criterion at each x."""
-    field = f.field
-    count = 0
+def _point_count(f: FpPolynomial) -> int:
+    """Points of the smooth model of y^2 = f(x) over GF(p), by Euler's
+    criterion at each x, plus one point at infinity for odd deg f, else two or
+    none as lc(f) is a square or not.  Refused beyond the genus's COUNT_MAX_P."""
+    field, g = f.field, (f.degree() - 1) // 2
+    if field.p > COUNT_MAX_P.get(g, 0):
+        raise OracleBoundError(f"point count refused: genus {g}, p={field.p} beyond {COUNT_MAX_P}")
+    count = 1 if f.degree() % 2 else 2 * field.is_square(f.coeffs[-1])
     for x in range(field.p):
         v = f.evaluate(x)
         if v == 0:
@@ -381,12 +382,6 @@ def _affine_count_prime(f: FpPolynomial) -> int:
         elif field.is_square(v):
             count += 2
     return count
-
-
-def _points_at_infinity_prime(model: HyperellipticModel) -> int:
-    if model.f.degree() % 2 == 1:
-        return 1
-    return 2 if model.field.is_square(model.f.coeffs[-1]) else 0
 
 
 def _count_over_ext(model: HyperellipticModel) -> int:
@@ -425,15 +420,9 @@ def zeta_prank_oracle(model: HyperellipticModel) -> int:
     unit root contributes one unit coefficient, so deg(L mod p) counts the
     slope-zero part, which is the p-rank.
     """
-    g = model.genus
     p = model.field.p
-    if g > ZETA_MAX_GENUS:
-        raise OracleBoundError(f"zeta oracle refused: genus {g} exceeds bound {ZETA_MAX_GENUS}")
-    if p > ZETA_MAX_P:
-        raise OracleBoundError(f"zeta oracle refused: p={p} exceeds bound {ZETA_MAX_P}")
-    n1 = _affine_count_prime(model.f) + _points_at_infinity_prime(model)
-    s1 = p + 1 - n1  # sum of the Weil numbers
-    if g == 1:
+    s1 = p + 1 - _point_count(model.f)  # sum of the Weil numbers
+    if model.genus == 1:
         return 0 if s1 % p == 0 else 1
     n2 = _count_over_ext(model)
     s2 = p * p + 1 - n2  # sum of their squares

@@ -34,6 +34,7 @@ from isofib.ffpoly import (
     integer_resultant,
     matrix_rank_det,
     rank_det_mod,
+    recurrence_work_mod,
 )
 
 F5 = PrimeField(5)
@@ -157,9 +158,17 @@ def test_zeta_oracle_known_values():
 
 
 def test_zeta_oracle_bounds():
+    # point counts are bounded by genus: p <= 10^4 at genus 1, p <= 101 at genus 2
     assert zeta_prank_oracle(hyper(101, [1, 0, 0, 1])) == 0  # j = 0 at p = 2 mod 3
+    assert zeta_prank_oracle(hyper(9973, [1, 0, 0, 1])) == 1  # j = 0 at p = 1 mod 3
     with pytest.raises(OracleBoundError):
-        zeta_prank_oracle(hyper(103, [1, 0, 0, 1]))
+        zeta_prank_oracle(hyper(10007, [1, 0, 0, 1]))
+    with pytest.raises(OracleBoundError):
+        point_count_oracle(curve(10007, 0, 1))
+    quintic = hyper(101, [1, 0, 0, 0, 0, 1])
+    assert zeta_prank_oracle(quintic) == p_rank_hyperelliptic(quintic)
+    with pytest.raises(OracleBoundError):
+        zeta_prank_oracle(hyper(103, [1, 0, 0, 0, 0, 1]))
     field = PrimeField(7)
     f = FpPolynomial(field, [1, 1, 0, 0, 0, 0, 0, 1])  # degree 7: genus 3
     assert f.is_squarefree()
@@ -235,6 +244,34 @@ def test_hyperelliptic_p_ranks_refuse_before_the_resultant_over_all_primes(monke
     assert max(sizes, default=0) < 10
 
 
+def test_hyperelliptic_p_ranks_refuse_at_the_first_squarefree_prime_past_the_bound():
+    # the branch above with its residues mod 439 replaced by those of (x - 1)^2 g
+    # for a monic g: 439 is past the recurrence bound, but f mod 439 is not
+    # squarefree, so the refusal names the next prime past the bound where it is
+    rng = random.Random(7)
+    f = [rng.randrange(-10**400, 10**400) for _ in range(BRANCH_MAX_DEGREE)] + [1]
+    q = 439
+    g = [c % q for c in f[2:]]
+    square = [a - 2 * b + c for a, b, c in zip([0, 0] + g, [0] + g + [0], g + [0, 0])]
+    f = [c - c % q + r % q for c, r in zip(f, square)]
+    assert f[-1] == 1 and all(abs(c) >= 10**390 for c in f[:-1])
+    genus = (BRANCH_MAX_DEGREE - 1) // 2
+
+    def work(p):
+        ks = [p * i - j for i in range(1, genus + 1) for j in range(1, genus + 1)]
+        return recurrence_work_mod(tuple(c % p for c in f), p, (p - 1) // 2, ks)
+
+    primes = [p for p in range(5, 10_000) if _is_prime(p)]
+    assert work(q) > RECURRENCE_MAX_WORK
+    assert all(work(p) <= RECURRENCE_MAX_WORK for p in primes if p < q)
+    assert not FpPolynomial(PrimeField(q), f).is_squarefree()
+    refused = next(p for p in primes if p > q and work(p) > RECURRENCE_MAX_WORK
+                   and FpPolynomial(PrimeField(p), f).is_squarefree())
+    assert work(refused) != work(q)
+    with pytest.raises(OracleBoundError, match=f"the recurrence takes {work(refused)} steps"):
+        hyperelliptic_p_ranks(f, primes)
+
+
 def _random_squarefree(rng, field, degree):
     while True:
         coeffs = [rng.randrange(field.p) for _ in range(degree)]
@@ -288,6 +325,7 @@ def test_congruence_laws_small_primes():
 
 
 def test_genus_one_cartier_consistency():
+    # the 1 x 1 Cartier-Manin matrix is the Hasse invariant, the trace mod p by counting
     rng = random.Random(9)
     for _ in range(40):
         p = rng.choice([5, 7, 11, 13])
@@ -297,8 +335,9 @@ def test_genus_one_cartier_consistency():
             if (4 * a**3 + 27 * b**2) % p != 0:
                 break
         e = EllipticCurveW(field, a, b)
-        m = cartier_manin(HyperellipticModel(e.rhs_poly()))
-        assert m.entries == ((hasse_invariant(e),),)
+        trace = point_count_oracle(e)[1] % p
+        assert hasse_invariant(e) == trace
+        assert cartier_manin(HyperellipticModel(e.rhs_poly())).entries == ((trace,),)
 
 
 def test_twist_invariance_of_ordinarity():
@@ -369,7 +408,12 @@ def test_ordinary_primes_agree_with_the_hasse_invariant(a, b):
     e = (a, b)
     primes = _good_primes(e, 3000)
     assert len(primes) > 420
-    assert ordinary_primes(a, b, primes) == [_hasse_ordinary(e, p) for p in primes]
+    ordinary = ordinary_primes(a, b, primes)
+    assert ordinary == [_hasse_ordinary(e, p) for p in primes]
+    # and, sharing no code with either, the genus-1 point count: ordinary iff p does not
+    # divide the trace
+    counted = [point_count_oracle(curve(p, a, b))[1] % p != 0 for p in primes if p <= 600]
+    assert ordinary[: len(counted)] == counted
 
 
 def test_ordinary_primes_with_zero_one_and_two_primes():

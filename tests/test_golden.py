@@ -6,7 +6,7 @@ import pytest
 
 from isofib import cli
 from isofib.cli import EXIT_OK, EXIT_VALIDATION, GOLDEN_SUITE, main, parse_spec_document
-from isofib.curves import ZETA_MAX_P, HyperellipticModel, point_count_oracle, zeta_prank_oracle
+from isofib.curves import COUNT_MAX_P, HyperellipticModel, point_count_oracle, zeta_prank_oracle
 from isofib.ordinarity import build_report
 
 CASES = [
@@ -41,7 +41,8 @@ def test_golden_models_agree_with_the_counting_oracles():
                 assert report.E.ordinary == (trace % spec.field.p != 0), document
                 curves += 1
             branch = spec.branch_poly
-            if branch is not None and branch.degree() >= 3 and spec.field.p <= ZETA_MAX_P:
+            genus = (branch.degree() - 1) // 2 if branch is not None else 0
+            if genus and spec.field.p <= COUNT_MAX_P.get(genus, 0):
                 assert report.Dp.p_rank == zeta_prank_oracle(HyperellipticModel(branch)), document
                 branches += 1
     assert curves >= 5 and branches >= 1
